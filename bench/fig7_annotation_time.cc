@@ -72,11 +72,11 @@ int main(int argc, char** argv) {
   std::cout << "=== §6.1.2 cost breakdown ===\n";
   std::cout << "candidate generation (index probes):  "
             << Pct(stats.candidate_seconds / stats.total_seconds) << "%\n";
-  std::cout << "potential materialization (text sim): "
+  std::cout << "graph build (potentials, phi3-heavy): "
             << Pct(stats.graph_seconds / stats.total_seconds) << "%\n";
   std::cout << "inference (message passing):          "
             << Pct(stats.InferenceFraction()) << "%\n";
-  std::cout << "probe+similarity combined:            "
+  std::cout << "candidates + graph build combined:    "
             << Pct(stats.ProbeFraction()) << "%\n";
   std::cout << "\nPaper: ~80% lemma probing + similarity, <1% inference "
                "(0.7 s/table on the authors' 2010 testbed).\n\n";

@@ -24,7 +24,6 @@
 #include <iostream>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "annotate/corpus_annotator.h"
@@ -36,7 +35,6 @@
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
 #include "search/join_search.h"
-#include "search/parallel_search.h"
 #include "search/search_workspace.h"
 #include "search/type_relation_search.h"
 #include "search/type_search.h"
@@ -47,16 +45,21 @@
 // query hot path" claim is measured, not asserted.
 static std::atomic<uint64_t> g_allocations{0};
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined, GCC would pair the
+// std::malloc inside operator new with an operator delete (or operator
+// new with a bare std::free) and warn -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 using namespace webtab;         // NOLINT(build/namespaces)
 using namespace webtab::bench;  // NOLINT(build/namespaces)
@@ -390,86 +393,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(steady_queries)
           : 0.0;
 
-  // --- Parallel scatter-gather kernel (sharded intra-query execution) ---
-  // Bit-identity first: the merged scatter-gather ranking must equal
-  // the sequential kernel byte for byte — entities, display strings,
-  // and every double — on each query, engine, and shard count, both
-  // full-rank and pruned top-k.
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  const bool multicore = hardware_threads >= 4;
-  const SelectEngineKind parallel_engines[] = {SelectEngineKind::kBaseline,
-                                               SelectEngineKind::kType,
-                                               SelectEngineKind::kTypeRelation};
-  // Pool sized one short of the fan-out: the bench thread runs shard 0
-  // itself, matching the serving layer's context sizing.
-  ParallelSearchContext pctx(/*max_shards=*/8, /*threads=*/7);
-  SearchWorkspace pws;
-  std::vector<SearchResult> pgot;
-  int64_t shard_tables_abandoned = 0;
-  for (int e = 0; e < 3; ++e) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      for (int shards : {2, 4, 8}) {
-        TopKOptions ptopk = topk;
-        ptopk.parallelism = shards;
-        engines[e].kernel(corpus, queries[i], normalized[i], topk, &ws,
-                          &got);
-        ParallelSelectSearch(parallel_engines[e], corpus, queries[i],
-                             normalized[i], ptopk, &pctx, &pws, &pgot);
-        CheckExact(pgot, got, "parallel pruned top-k");
-        shard_tables_abandoned += pws.stats().shard_tables_abandoned;
-        engines[e].kernel(corpus, queries[i], normalized[i], full_rank, &ws,
-                          &got);
-        TopKOptions pfull = full_rank;
-        pfull.parallelism = shards;
-        ParallelSelectSearch(parallel_engines[e], corpus, queries[i],
-                             normalized[i], pfull, &pctx, &pws, &pgot);
-        CheckExact(pgot, got, "parallel full rank");
-      }
-    }
-  }
-
-  // Scaling curve on the pruned top-10 mix: ms/query over the whole
-  // 3-engine sweep at 1/2/4/8 shards (1 shard dispatches the plain
-  // sequential kernel — the honest baseline, same workspace, same run).
-  const int shard_counts[] = {1, 2, 4, 8};
-  double parallel_ms[4] = {0, 0, 0, 0};
-  double parallel_allocs_per_query = 0.0;
-  for (int sc = 0; sc < 4; ++sc) {
-    TopKOptions ptopk = topk;
-    ptopk.parallelism = shard_counts[sc];
-    auto sweep = [&] {
-      for (int e = 0; e < 3; ++e) {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          ParallelSelectSearch(parallel_engines[e], corpus, queries[i],
-                               normalized[i], ptopk, &pctx, &pws, &pgot);
-        }
-      }
-    };
-    sweep();  // warm: arenas, record buffers, pool threads
-    sweep();
-    if (shard_counts[sc] == 4) {
-      // Zero steady-state allocations must survive the parallel path:
-      // recording buffers, shard workspaces, task launches and the
-      // gather replay all reuse pooled storage after warmup.
-      const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-      sweep();
-      parallel_allocs_per_query =
-          static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
-                              before) /
-          static_cast<double>(3 * queries.size());
-    }
-    WallTimer timer;
-    for (int64_t rep = 0; rep < reps; ++rep) sweep();
-    parallel_ms[sc] = timer.ElapsedMillis() /
-                      static_cast<double>(reps * 3 * queries.size());
-  }
-  const double speedup_2shard =
-      parallel_ms[1] > 0 ? parallel_ms[0] / parallel_ms[1] : 0.0;
-  const double speedup_4shard =
-      parallel_ms[2] > 0 ? parallel_ms[0] / parallel_ms[2] : 0.0;
-  const double speedup_8shard =
-      parallel_ms[3] > 0 ? parallel_ms[0] / parallel_ms[3] : 0.0;
-
   // --- Instrumentation overhead (paired quiet-floor configs) ---
   // The same pruned top-k sweep over every select engine, timed per
   // query under three configurations:
@@ -600,32 +523,6 @@ int main(int argc, char** argv) {
                      "  },\n",
                      batch_geomean);
   check_fits(n);
-  // Scatter-gather section. The speedup keys are always emitted (the
-  // bench_diff gate treats a missing key as a schema regression); the
-  // "multicore" flag says whether the runner could physically show
-  // scaling, and the >= 2x acceptance CHECK below only applies then.
-  n += std::snprintf(
-      buf + n, sizeof(buf) - n,
-      "  \"parallel_kernel\": {\n"
-      "    \"hardware_threads\": %u,\n"
-      "    \"multicore\": %s,\n"
-      "    \"byte_identical\": true,\n"
-      "    \"ms_per_query_1shard\": %.4f,\n"
-      "    \"ms_per_query_2shard\": %.4f,\n"
-      "    \"ms_per_query_4shard\": %.4f,\n"
-      "    \"ms_per_query_8shard\": %.4f,\n"
-      "    \"speedup_2shard\": %.2f,\n"
-      "    \"speedup_4shard\": %.2f,\n"
-      "    \"speedup_8shard\": %.2f,\n"
-      "    \"shard_tables_abandoned\": %lld,\n"
-      "    \"steady_state_allocations_per_query\": %.3f\n"
-      "  },\n",
-      hardware_threads, multicore ? "true" : "false", parallel_ms[0],
-      parallel_ms[1], parallel_ms[2], parallel_ms[3], speedup_2shard,
-      speedup_4shard, speedup_8shard,
-      static_cast<long long>(shard_tables_abandoned),
-      parallel_allocs_per_query);
-  check_fits(n);
   n += std::snprintf(buf + n, sizeof(buf) - n,
                      "  \"join\": {\n"
                      "    \"reference_full_ms_per_query\": %.4f,\n"
@@ -676,20 +573,6 @@ int main(int argc, char** argv) {
   WEBTAB_CHECK(allocs_per_query == 0.0)
       << "kernel hot path allocated " << allocs_per_query
       << " times per query at steady state (tracing attached)";
-  // Scatter-gather acceptance: byte-identity was CHECKed above on every
-  // query/engine/shard-count combination; the parallel path must also
-  // preserve the zero-allocation steady state, and on a machine with
-  // >= 4 hardware threads the pruned top-10 mix must at least halve
-  // wall-clock at 4 shards. (On fewer cores the speedup keys are still
-  // emitted for bench_diff, but physics caps them near 1x.)
-  WEBTAB_CHECK(parallel_allocs_per_query == 0.0)
-      << "parallel kernel allocated " << parallel_allocs_per_query
-      << " times per query at steady state";
-  if (multicore) {
-    WEBTAB_CHECK(speedup_4shard >= 2.0)
-        << "scatter-gather speedup at 4 shards " << speedup_4shard
-        << " < 2x on a " << hardware_threads << "-thread machine";
-  }
   // Observability acceptance: the record path (per-query counters, no
   // trace attached) costs <= 2% of the hot kernel sweep.
   WEBTAB_CHECK(metrics_overhead <= 0.02)

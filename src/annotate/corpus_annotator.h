@@ -29,8 +29,9 @@ struct CorpusTimingStats {
   std::vector<int> bp_iteration_counts;
 
   double MeanMillisPerTable() const;
-  /// Fraction of total time spent probing the index / computing text
-  /// similarity (candidate + potential materialization) vs inference.
+  /// Fraction of total time spent before inference: candidate
+  /// generation plus graph build (potential materialization, dominated
+  /// by phi3 relatedness).
   double ProbeFraction() const;
   double InferenceFraction() const;
 };

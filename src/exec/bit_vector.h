@@ -30,7 +30,9 @@ class BitVector {
     num_bits_ = num_bits;
     const size_t words = NumWords();
     if (words_.size() < words) words_.resize(words, 0);
-    std::memset(words_.data(), 0, words * sizeof(uint64_t));
+    // words_.data() may be null while nothing was ever allocated, and
+    // memset on a null pointer is undefined even for zero bytes.
+    if (words != 0) std::memset(words_.data(), 0, words * sizeof(uint64_t));
   }
 
   uint32_t num_bits() const { return num_bits_; }

@@ -1,30 +1,14 @@
 #include "index/candidates.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "obs/metrics.h"
 
 namespace webtab {
 
 namespace {
-
-/// The flag used to toggle per-cell probe memoization; the batch probe
-/// dedupes structurally, so a caller turning it off gets the same
-/// (deduped) results. Logged once per process so old configs keep
-/// working without silent surprises.
-void WarnMemoizeDeprecatedOnce() {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    WEBTAB_LOG(Warning)
-        << "CandidateOptions::memoize_cell_probes is deprecated and "
-           "ignored: the column-major batch probe dedupes repeated cell "
-           "strings unconditionally";
-  }
-}
 
 /// Dense distinct-pair multiplicity counting is quadratic in distinct
 /// cells; past this bound fall back to a hash map (huge tables only).
@@ -39,7 +23,6 @@ TableCandidates GenerateCandidates(const Table& table,
                                    CandidateWorkspace* workspace) {
   CandidateWorkspace transient;
   CandidateWorkspace* ws = workspace != nullptr ? workspace : &transient;
-  if (!options.memoize_cell_probes) WarnMemoizeDeprecatedOnce();
 
   TableCandidates out;
   out.cells.assign(table.rows(),

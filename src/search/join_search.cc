@@ -6,7 +6,7 @@
 #include "text/tokenizer.h"
 
 namespace webtab {
-namespace search_internal {
+namespace {
 
 /// Collects bindings of the unbound side of relation `rel` given the
 /// grounded side, by scanning the relation's annotated column pairs.
@@ -26,7 +26,7 @@ namespace search_internal {
 void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
                    std::string_view grounded_text, bool grounded_is_object,
                    bool support_valid, bool use_batch, SearchWorkspace* ws,
-                   EntityAccumulator* acc) {
+                   search_internal::EntityAccumulator* acc) {
   acc->Begin();
   const bool has_text = !grounded_text.empty();
   const bool can_skip =
@@ -168,7 +168,7 @@ void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
   }
 }
 
-}  // namespace search_internal
+}  // namespace
 
 std::vector<SearchResult> JoinSearch(const CorpusView& index,
                                      const JoinQuery& query) {
@@ -195,7 +195,7 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   // Trace-wise the binding leg is the plan (it fixes what leg 1 scans)
   // and the expansion loop is the scoring scan.
   obs::TraceSpan plan_span("search.plan");
-  search_internal::JoinExpandLeg(
+  JoinExpandLeg(
       index, query.r2, query.e3, ws->norm_scratch,
       /*grounded_is_object=*/query.e2_is_subject, support_valid, topk.batch,
       ws, &ws->leg_acc);
@@ -211,7 +211,7 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   {
     obs::TraceSpan score_span("search.score");
     for (const auto& [e2, e2_score] : ws->binding_list) {
-      search_internal::JoinExpandLeg(
+      JoinExpandLeg(
           index, query.r1, e2, /*grounded_text=*/{},
           /*grounded_is_object=*/query.e1_is_subject, support_valid,
           topk.batch, ws, &ws->leg_acc);

@@ -93,8 +93,6 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
       request.want_stats = json.GetBool("stats", false);
       request.want_trace = json.GetBool("trace", false);
       request.want_explain = json.GetBool("explain", false);
-      request.parallelism =
-          static_cast<int>(json.GetNumber("parallelism", 0));
       break;
     }
     case WireRequest::Op::kJoin:
@@ -109,8 +107,6 @@ Result<WireRequest> ParseWireRequest(std::string_view line) {
       request.join.e2_is_subject = json.GetBool("e2_is_subject", true);
       request.join.max_join_entities =
           static_cast<int>(json.GetNumber("max_join_entities", 20));
-      request.parallelism =
-          static_cast<int>(json.GetNumber("parallelism", 0));
       break;
     case WireRequest::Op::kAnnotate: {
       request.want_trace = json.GetBool("trace", false);
@@ -421,28 +417,6 @@ Json SearchExplainJson(const SearchResponse& response) {
   filters.Set("classes", std::move(classes));
   filters.Set("screens", std::move(decisions));
   explain.Set("filters", std::move(filters));
-
-  // Scatter-gather section, present only when the query ran sharded:
-  // one entry per shard with its table range, plan size, how many of
-  // its tables the gather replayed, and how many the shared stop let it
-  // abandon mid-flight.
-  if (!response.shard_log.empty()) {
-    Json shards = Json::Array();
-    for (const SearchWorkspace::ShardSummary& s : response.shard_log) {
-      Json item = Json::Object();
-      item.Set("shard", Json::Number(static_cast<double>(s.shard)));
-      item.Set("table_begin",
-               Json::Number(static_cast<double>(s.table_begin)));
-      item.Set("table_end",
-               Json::Number(static_cast<double>(s.table_end)));
-      item.Set("planned", Json::Number(static_cast<double>(s.planned)));
-      item.Set("replayed", Json::Number(static_cast<double>(s.replayed)));
-      item.Set("abandoned",
-               Json::Number(static_cast<double>(s.abandoned)));
-      shards.Append(std::move(item));
-    }
-    explain.Set("shards", std::move(shards));
-  }
   return explain;
 }
 
@@ -523,12 +497,6 @@ std::string RenderSearchResponse(const SearchResponse& response,
               Json::Number(static_cast<double>(
                   response.stats.tables_scored)));
     stats.Set("stopped_early", Json::Bool(response.stats.stopped_early));
-    stats.Set("shards_used",
-              Json::Number(static_cast<double>(
-                  response.stats.shards_used)));
-    stats.Set("shard_tables_abandoned",
-              Json::Number(static_cast<double>(
-                  response.stats.shard_tables_abandoned)));
     json.Set("stats", std::move(stats));
   }
   if (response.has_explain) {

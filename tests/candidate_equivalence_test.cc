@@ -182,19 +182,6 @@ TEST_F(CandidateEquivalenceTest, WorkspaceReuseAndRerunsAreStable) {
   }
 }
 
-TEST_F(CandidateEquivalenceTest, DeprecatedMemoizeFlagIsIgnored) {
-  const World& world = SharedWorld();
-  ClosureCache closure(&world.catalog);
-  CandidateOptions on;
-  CandidateOptions off;
-  off.memoize_cell_probes = false;  // Logs once; results unchanged.
-  for (const Table& table : *tables_) {
-    ExpectSameCandidates(
-        GenerateCandidates(table, SharedIndex(), &closure, on),
-        GenerateCandidates(table, SharedIndex(), &closure, off));
-  }
-}
-
 TEST_F(CandidateEquivalenceTest, SimilarityScratchKeepsAnnotationsByteIdentical) {
   const World& world = SharedWorld();
   AnnotatorOptions with_scratch;

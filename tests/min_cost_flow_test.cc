@@ -17,9 +17,8 @@ TEST(MinCostFlowTest, SimplePath) {
 }
 
 TEST(MinCostFlowTest, PrefersCheaperPath) {
-  //     /-(cost 1)-\
-  //  0 -            - 2
-  //     \-(cost 5)-/
+  //  0 --(cost 1)--> 1 --(cost 0)--> 2
+  //  0 ---------(cost 5)-----------> 2
   MinCostFlow flow(3);
   int cheap = flow.AddEdge(0, 1, 1, 1.0);
   int direct = flow.AddEdge(0, 2, 1, 5.0);

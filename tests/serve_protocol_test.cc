@@ -3,6 +3,8 @@
 // and response rendering.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "obs/exemplar.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -80,15 +82,22 @@ TEST(JsonTest, RejectsMalformed) {
 }
 
 TEST(WireRequestTest, ParsesSearch) {
-  Result<WireRequest> parsed = ParseWireRequest(
-      R"({"op":"search","engine":"type","relation":"author",)"
-      R"("type1":"book","type2":"person","e2":"A. Einstein","k":5})");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->op, WireRequest::Op::kSearch);
-  EXPECT_EQ(parsed->engine, EngineKind::kType);
-  EXPECT_EQ(parsed->select.relation, "author");
-  EXPECT_EQ(parsed->select.e2, "A. Einstein");
-  EXPECT_EQ(parsed->top_k, 5);
+  // A "parallelism" field (intra-query fan-out, no longer supported) is
+  // ignored like any unknown field: the request parses the same.
+  for (const char* extra : {"", R"(,"parallelism":4)"}) {
+    SCOPED_TRACE(extra);
+    Result<WireRequest> parsed = ParseWireRequest(
+        std::string(R"({"op":"search","engine":"type","relation":"author",)"
+                    R"("type1":"book","type2":"person","e2":"A. Einstein",)"
+                    R"("k":5)") +
+        extra + "}");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->op, WireRequest::Op::kSearch);
+    EXPECT_EQ(parsed->engine, EngineKind::kType);
+    EXPECT_EQ(parsed->select.relation, "author");
+    EXPECT_EQ(parsed->select.e2, "A. Einstein");
+    EXPECT_EQ(parsed->top_k, 5);
+  }
 }
 
 TEST(WireRequestTest, ParsesJoinAndAnnotate) {
