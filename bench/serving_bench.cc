@@ -217,6 +217,9 @@ int main(int argc, char** argv) {
   WallTimer run_timer;
   auto client = [&](int client_id) {
     ClientLog* log = &logs[client_id];
+    // Verification runs each engine's full ranking on this client's own
+    // workspace.
+    SearchWorkspace ws;
     serve::EngineKind engines[3] = {serve::EngineKind::kBaseline,
                                     serve::EngineKind::kType,
                                     serve::EngineKind::kTypeRelation};
@@ -256,16 +259,18 @@ int main(int argc, char** argv) {
         ++log->failures;
         continue;
       }
+      const CorpusView& truth = *corpus_by_version[v];
+      const NormalizedSelectQuery nq = NormalizeSelectQuery(query);
       std::vector<SearchResult> want;
       switch (engine) {
         case serve::EngineKind::kBaseline:
-          want = BaselineSearch(*corpus_by_version[v], query);
+          BaselineSearch(truth, query, nq, TopKOptions{}, &ws, &want);
           break;
         case serve::EngineKind::kType:
-          want = TypeSearch(*corpus_by_version[v], query);
+          TypeSearch(truth, query, nq, TopKOptions{}, &ws, &want);
           break;
         default:
-          want = TypeRelationSearch(*corpus_by_version[v], query);
+          TypeRelationSearch(truth, query, nq, TopKOptions{}, &ws, &want);
           break;
       }
       if (!SameResults(response.results, want)) ++log->failures;

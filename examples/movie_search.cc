@@ -86,19 +86,22 @@ int main(int argc, char** argv) {
             << world.catalog.entity(director).name << " ("
             << relevant.size() << " true answers)\n\n";
 
-  auto base = BaselineSearch(cindex, q);
-  auto type = TypeSearch(cindex, q);
-  auto tr = TypeRelationSearch(cindex, q);
+  // Every engine runs through its kernel form: the query normalized
+  // once, one reusable workspace, k <= 0 for the full exact ranking.
+  const NormalizedSelectQuery nq = NormalizeSelectQuery(q);
+  SearchWorkspace ws;
+  std::vector<SearchResult> base, type, tr;
+  BaselineSearch(cindex, q, nq, TopKOptions{}, &ws, &base);
+  TypeSearch(cindex, q, nq, TopKOptions{}, &ws, &type);
+  TypeRelationSearch(cindex, q, nq, TopKOptions{}, &ws, &tr);
   PrintTop("Baseline (strings only, Figure 3)", base, world.catalog, 5);
   PrintTop("Type annotations only", type, world.catalog, 5);
   PrintTop("Type + relation annotations (Figure 4)", tr, world.catalog, 5);
 
-  // The serving-style call: reusable workspace + top-k with pruning —
-  // the kernel skips tables that provably cannot crack the top 5 and
-  // returns exactly the full ranking's prefix.
-  SearchWorkspace ws;
+  // The serving-style call: top-k with pruning — the kernel skips tables
+  // that provably cannot crack the top 5 and returns exactly the full
+  // ranking's prefix.
   std::vector<SearchResult> top5;
-  NormalizedSelectQuery nq = NormalizeSelectQuery(q);
   TypeRelationSearch(cindex, q, nq, TopKOptions{5, true}, &ws, &top5);
   std::cout << "\nTop-5 (pruned kernel; scanned "
             << ws.stats().tables_scored << "/"

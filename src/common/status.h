@@ -3,8 +3,8 @@
 
 #include <string>
 #include <string_view>
+#include <optional>
 #include <utility>
-#include <variant>
 
 namespace webtab {
 
@@ -80,28 +80,29 @@ class Status {
 };
 
 /// Either a value of type T or an error Status. Modeled after absl::StatusOr.
+/// Stored as an always-constructed Status beside an optional value (not
+/// a std::variant): GCC's flow analysis cannot see through the variant's
+/// index when destroying it and reports -Wmaybe-uninitialized on the
+/// inactive Status alternative.
 template <typename T>
 class Result {
  public:
   /// Constructs an OK result holding `value`.
-  Result(T value) : payload_(std::move(value)) {}  // NOLINT(runtime/explicit)
+  Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
   /// Constructs an error result. `status` must not be OK.
   Result(Status status)  // NOLINT(runtime/explicit)
-      : payload_(std::move(status)) {}
+      : status_(std::move(status)) {}
 
-  bool ok() const { return std::holds_alternative<T>(payload_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOkStatus;
-    if (ok()) return kOkStatus;
-    return std::get<Status>(payload_);
-  }
+  /// OK when ok(); the error otherwise.
+  const Status& status() const { return status_; }
 
-  /// Requires ok(). Undefined behaviour otherwise (checked in debug builds
-  /// by the variant access).
-  const T& value() const& { return std::get<T>(payload_); }
-  T& value() & { return std::get<T>(payload_); }
-  T&& value() && { return std::get<T>(std::move(payload_)); }
+  /// Requires ok(). Throws std::bad_optional_access otherwise (the
+  /// library never relies on it; callers test ok() first).
+  const T& value() const& { return value_.value(); }
+  T& value() & { return value_.value(); }
+  T&& value() && { return std::move(value_).value(); }
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
@@ -109,7 +110,8 @@ class Result {
   T* operator->() { return &value(); }
 
  private:
-  std::variant<T, Status> payload_;
+  Status status_;
+  std::optional<T> value_;
 };
 
 /// Propagates a non-OK status from an expression producing a Status.

@@ -35,21 +35,6 @@ void CollectHeaderSide(const CorpusView& index,
 
 }  // namespace
 
-std::vector<SearchResult> BaselineSearch(const CorpusView& index,
-                                         const SelectQuery& query) {
-  // All query strings pass through the shared tokenizer exactly once.
-  return BaselineSearch(index, query, NormalizeSelectQuery(query));
-}
-
-std::vector<SearchResult> BaselineSearch(const CorpusView& index,
-                                         const SelectQuery& query,
-                                         const NormalizedSelectQuery& nq) {
-  std::vector<SearchResult> out;
-  BaselineSearch(index, query, nq, TopKOptions{},
-             &ThreadLocalSearchWorkspace(), &out);
-  return out;
-}
-
 void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
                     const NormalizedSelectQuery& nq, const TopKOptions& topk,
                     SearchWorkspace* ws, std::vector<SearchResult>* out) {
@@ -62,14 +47,11 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
   using search_internal::ScreenCond;
 
   ws->BeginSelect(nq.e2_text);
-  const bool prune = topk.k > 0 && topk.prune;
   // The baseline's only match path is CellMatchesText against E2's
   // string, so a table outside the match-support set scores nothing.
-  // The batch path builds the set on full-rank scans too: its
-  // scoring-side verdicts skip proven-matchless columns exactly.
-  const bool support_valid =
-      (prune || topk.batch) && ws->BuildMatchSupport(index);
-  const bool refine = prune && support_valid;
+  // The set is built on full-rank scans too: the scoring-side verdicts
+  // skip proven-matchless columns exactly.
+  ws->BuildMatchSupport(index);
 
   // Candidate columns per side via header-token postings.
   obs::TraceSpan plan_span("search.plan");
@@ -111,13 +93,13 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
 
   // Only E2-side columns that can text-match the target contribute
   // (the baseline has no entity path), so b shrinks to the supported
-  // count — 0 eliminates the table outright. Shared by the scalar loop
-  // and the batched screen's survivor pass.
+  // count — 0 eliminates the table outright. The batched screen runs it
+  // on its survivors.
   auto refined_bound = [&](const PlannedTable& p,
                            PostingRunCounter<CellRef>* /*e2_runs*/) {
     double b = 0.0;
     for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
-      if (ws->ColumnHasMatchSupport(p.table, ws->col_pool[bi])) {
+      if (ws->ColumnCanMatch(p.table, ws->col_pool[bi])) {
         b += 1.0;
       }
     }
@@ -125,52 +107,19 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
            table_score(p.table) * (p.a_end - p.a_begin) * b;
   };
   auto fill_bounds = [&] {
-    if (!refine) {
-      for (PlannedTable& p : ws->plan) {
-        const double b = p.b_end - p.b_begin;
-        p.bound = static_cast<double>(index.rows(p.table)) *
-                  table_score(p.table) * (p.a_end - p.a_begin) * b;
-      }
-      return;
-    }
-    if (topk.batch) {
-      ws->EnsureFilterClasses();
-      static constexpr ScreenCond kKinds[] = {ScreenCond::kTableSupport};
-      search_internal::BatchedBoundFill(ws, ws->filter_class_baseline,
-                                        kKinds,
-                                        std::span<const CellRef>(),
-                                        PostingBlockSpan(), refined_bound);
-      return;
-    }
-    PostingRunCounter<CellRef> unused{std::span<const CellRef>(),
-                                      PostingBlockSpan()};
-    for (PlannedTable& p : ws->plan) p.bound = refined_bound(p, &unused);
-  };
-
-  auto scalar_score = [&](const PlannedTable& p) {
-    const int table = p.table;
-    const int num_rows = index.rows(table);
-    const double score = table_score(table);
-    for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
-      const int c2 = ws->col_pool[bi];
-      for (int r = 0; r < num_rows; ++r) {
-        if (!ws->CellMatches(index.cell(table, r, c2))) continue;
-        for (uint32_t ai = p.a_begin; ai < p.a_end; ++ai) {
-          const int c1 = ws->col_pool[ai];
-          if (c1 == c2) continue;
-          ws->AddText(table, index.cell(table, r, c1), score);
-        }
-      }
-    }
+    ws->EnsureFilterClasses();
+    static constexpr ScreenCond kKinds[] = {ScreenCond::kTableSupport};
+    search_internal::BatchedBoundFill(ws, ws->filter_class_baseline, kKinds,
+                                      std::span<const CellRef>(),
+                                      PostingBlockSpan(), refined_bound);
   };
 
   // Lazy verdicts (no entity lane in the baseline: support only).
   PostingRunCounter<CellRef> verdict_runs{std::span<const CellRef>(),
                                           PostingBlockSpan()};
-  auto batch_score = [&](const PlannedTable& p) {
+  auto score_table = [&](const PlannedTable& p) {
     search_internal::FillColumnVerdicts(ws, p, &verdict_runs,
-                                        /*e2_present=*/false,
-                                        support_valid);
+                                        /*e2_present=*/false);
     const int table = p.table;
     const double score = table_score(table);
     auto score_chunk = [&](exec::ScoreBatch* batch, int n,
@@ -192,12 +141,8 @@ void BaselineSearch(const CorpusView& index, const SelectQuery& /*query*/,
         });
   };
 
-  if (topk.batch) {
-    search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, batch_score);
-  } else {
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, scalar_score);
-  }
+  search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
+  search_internal::RunPlannedTables(ws, topk, fill_bounds, score_table);
   ws->EmitRanked(topk, out);
 }
 

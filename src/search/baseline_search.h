@@ -14,14 +14,9 @@ namespace webtab {
 /// the relation string adds score); E2 is located by text similarity in
 /// the T2 column; the T1 column's raw cell strings are clustered, deduped
 /// and ranked. Returns unresolved strings (SearchResult::entity == kNa).
-/// The three-argument form takes a pre-normalized query (the serving
-/// layer shares one normalization between the cache key and the engine).
-std::vector<SearchResult> BaselineSearch(const CorpusView& index,
-                                         const SelectQuery& query);
-std::vector<SearchResult> BaselineSearch(
-    const CorpusView& index, const SelectQuery& query,
-    const NormalizedSelectQuery& normalized);
-/// Kernel form: reusable workspace, results into `out`, top-k pruning.
+/// Takes a pre-normalized query (the serving layer shares one
+/// normalization between the cache key and the engine), a reusable
+/// workspace, results into `out`, top-k pruning per TopKOptions.
 void BaselineSearch(const CorpusView& index, const SelectQuery& query,
                     const NormalizedSelectQuery& normalized,
                     const TopKOptions& topk, SearchWorkspace* workspace,

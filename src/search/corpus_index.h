@@ -97,7 +97,6 @@ class CorpusIndex : public CorpusView {
   // Block-max index: the in-memory build always carries it, computed
   // with the same shared helper (block_max.h) the snapshot writer uses,
   // so both backends expose identical summaries for identical lists.
-  bool HasMatchSupport() const override { return true; }
   std::span<const CellTokenRef> CellTokenPostings(
       std::string_view token) const override;
   PostingBlockSpan HeaderPostingBlocks(

@@ -86,8 +86,9 @@ struct PostingBlockMax {
 };
 static_assert(sizeof(PostingBlockMax) == 16, "blocks are mmap'd verbatim");
 
-/// One posting list's block summaries; empty() when the backend carries
-/// no block-max index (pre-minor-1 snapshots).
+/// One posting list's block summaries. Cursors use them to seek; an
+/// empty span (the default for CorpusView implementations without
+/// blocks) makes them gallop through the postings instead.
 using PostingBlockSpan = std::span<const PostingBlockMax>;
 
 /// Read-only access to an annotated table corpus and its postings (the
@@ -167,30 +168,24 @@ class CorpusView {
   /// Cells annotated with entity `e`.
   virtual std::span<const CellRef> EntityPostings(EntityId e) const = 0;
 
-  // --- Block-max index (optional capability). ---
+  // --- Block-max index. ---
   //
-  // Per-list block summaries (kPostingBlockSize postings per block) with
-  // upper bounds on what any table inside the block can contribute, plus
-  // a cell-token match-support index: for every token appearing in any
-  // cell, the (table, column) pairs whose column contains it. The select
-  // engines use match support to prove a candidate column contributes
-  // zero text evidence (CellMatchesText requires enough shared tokens)
-  // and drop it from their bounds exactly; the cursors use block
-  // last-tables to seek. Both default to "absent" so alternative
-  // CorpusView implementations keep working — engines then fall back to
-  // the unrefined ascending scan.
+  // A cell-token match-support index: for every token appearing in any
+  // cell, the (table, column) pairs whose column contains it. The
+  // engines use it to prove a candidate column contributes zero text
+  // evidence (CellMatchesText requires enough shared tokens) and skip
+  // it exactly, so every backend must provide it. Per-list block
+  // summaries (kPostingBlockSize postings per block) let the cursors
+  // seek by block last-table.
 
-  /// True when CellTokenPostings is populated (block-max index built).
-  virtual bool HasMatchSupport() const { return false; }
   /// Columns with at least one cell containing `token`, sorted by
   /// (table, col), unique, each carrying the min distinct-token count
   /// among the containing cells. Column-granular on purpose: engines
   /// match E2 text only against specific columns, and a token common
-  /// elsewhere in the table must not keep the column alive.
+  /// elsewhere in the table must not keep the column alive. Cells that
+  /// normalize to no token at all are listed under the empty token.
   virtual std::span<const CellTokenRef> CellTokenPostings(
-      std::string_view /*token*/) const {
-    return {};
-  }
+      std::string_view token) const = 0;
   virtual PostingBlockSpan HeaderPostingBlocks(
       std::string_view /*token*/) const {
     return {};

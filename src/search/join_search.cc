@@ -16,21 +16,17 @@ namespace {
 /// be pre-normalized and already set as the workspace match target when
 /// non-empty.
 ///
-/// With a match-support backend, whole table runs are skipped when no
-/// annotated pair's grounded column holds the grounded entity or (text
-/// path) can text-match the target — both row conditions are then
-/// provably false for every row, so the skip generates the exact same
-/// Add calls as the full scan. `support_valid` says the workspace's
-/// support set covers the current match target; without it, text-bearing
-/// legs scan everything.
+/// Whole table runs are skipped when no annotated pair's grounded
+/// column holds the grounded entity or (text path) can text-match the
+/// target per the workspace's match-support set — both row conditions
+/// are then provably false for every row, so the skip generates the
+/// exact same Add calls as the full scan.
 void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
                    std::string_view grounded_text, bool grounded_is_object,
-                   bool support_valid, bool use_batch, SearchWorkspace* ws,
+                   SearchWorkspace* ws,
                    search_internal::EntityAccumulator* acc) {
   acc->Begin();
   const bool has_text = !grounded_text.empty();
-  const bool can_skip =
-      index.HasMatchSupport() && (!has_text || support_valid);
   search_internal::PostingRunCounter<CellRef> grounded_runs(
       grounded != kNa ? index.EntityPostings(grounded)
                       : std::span<const CellRef>(),
@@ -43,38 +39,34 @@ void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
     const int32_t table = cursor.table();
     std::span<const RelationRef> run = cursor.TakeRun();
     ++ws->query_stats.tables_planned;
-    if (can_skip) {
-      bool possible = false;
-      for (const RelationRef& ref : run) {
-        int subject_col = ref.swapped ? ref.c2 : ref.c1;
-        int object_col = ref.swapped ? ref.c1 : ref.c2;
-        int grounded_col = grounded_is_object ? object_col : subject_col;
-        // Per pair: the grounded entity must be annotated in the
-        // grounded column itself, or (text path) that column must be
-        // able to text-match the target.
-        if (grounded != kNa &&
-            grounded_runs.CountAtCol(table, grounded_col) > 0) {
-          possible = true;
-          break;
-        }
-        if (has_text && ws->ColumnHasMatchSupport(table, grounded_col)) {
-          possible = true;
-          break;
-        }
+    bool possible = false;
+    for (const RelationRef& ref : run) {
+      int subject_col = ref.swapped ? ref.c2 : ref.c1;
+      int object_col = ref.swapped ? ref.c1 : ref.c2;
+      int grounded_col = grounded_is_object ? object_col : subject_col;
+      // Per pair: the grounded entity must be annotated in the grounded
+      // column itself, or (text path) that column must be able to
+      // text-match the target.
+      if (grounded != kNa &&
+          grounded_runs.CountAtCol(table, grounded_col) > 0) {
+        possible = true;
+        break;
       }
-      if (!possible) {
-        // The support proof shows every row contributes zero — same
-        // exact-elimination class as a zero select bound (the join
-        // engine computes no numeric bounds; decision_bounds_valid
-        // stays false).
-        if (explain) {
-          ws->decision_log.push_back(
-              {table,
-               SearchWorkspace::TableDecision::Verdict::kPrunedZeroBound,
-               0.0, 0.0});
-        }
-        continue;
+      if (has_text && ws->ColumnCanMatch(table, grounded_col)) {
+        possible = true;
+        break;
       }
+    }
+    if (!possible) {
+      // The support proof shows every row contributes zero — same
+      // exact-elimination class as a zero select bound (the join engine
+      // computes no numeric bounds; decision_bounds_valid stays false).
+      if (explain) {
+        ws->decision_log.push_back(
+            {table, SearchWorkspace::TableDecision::Verdict::kPrunedZeroBound,
+             0.0, 0.0});
+      }
+      continue;
     }
     ++ws->query_stats.tables_scored;
     if (explain) {
@@ -88,33 +80,15 @@ void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
       int grounded_col = grounded_is_object ? object_col : subject_col;
       int free_col = grounded_is_object ? subject_col : object_col;
       const int num_rows = index.rows(ref.table);
-      if (!use_batch) {
-        for (int r = 0; r < num_rows; ++r) {
-          double row_score = 0.0;
-          EntityId cell = index.CellEntity(ref.table, r, grounded_col);
-          if (grounded != kNa && cell == grounded) {
-            row_score = 1.0;
-          } else if (has_text &&
-                     ws->CellMatches(
-                         index.cell(ref.table, r, grounded_col))) {
-            row_score = 0.6;
-          }
-          if (row_score <= 0.0) continue;
-          EntityId answer = index.CellEntity(ref.table, r, free_col);
-          if (answer != kNa) acc->Add(answer) += row_score;
-        }
-        continue;
-      }
-      // Batch path: the same per-pair conditions the run-level skip
-      // tested, now at pair granularity — a pair whose grounded column
-      // has neither the grounded entity annotated nor (provable) text
-      // support emits no Add for any row, so skipping it is exact.
+      // The same per-pair conditions the run-level skip tested, now at
+      // pair granularity — a pair whose grounded column has neither the
+      // grounded entity annotated nor text support emits no Add for any
+      // row, so skipping it is exact.
       const bool has_entity =
           grounded != kNa &&
           grounded_runs.CountAtCol(table, grounded_col) > 0;
       const bool text_possible =
-          has_text &&
-          (!can_skip || ws->ColumnHasMatchSupport(table, grounded_col));
+          has_text && ws->ColumnCanMatch(table, grounded_col);
       if (!has_entity && !text_possible) continue;
       exec::ScoreBatch& batch = ws->batch;
       ws->EnsureGatherCapacity(1);
@@ -170,14 +144,6 @@ void JoinExpandLeg(const CorpusView& index, RelationId rel, EntityId grounded,
 
 }  // namespace
 
-std::vector<SearchResult> JoinSearch(const CorpusView& index,
-                                     const JoinQuery& query) {
-  std::vector<SearchResult> out;
-  JoinSearch(index, query, TopKOptions{},
-             &ThreadLocalSearchWorkspace(), &out);
-  return out;
-}
-
 void JoinSearch(const CorpusView& index, const JoinQuery& query,
                 const TopKOptions& topk, SearchWorkspace* ws,
                 std::vector<SearchResult>* out) {
@@ -188,7 +154,7 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   // Run skipping is a provable no-op elimination (not a lossy prune),
   // so it stays on even for full-rank queries; stats count relation
   // runs rather than select-plan tables.
-  const bool support_valid = ws->BuildMatchSupport(index);
+  ws->BuildMatchSupport(index);
 
   // Leg 2: ground the join variable e2 from R2(e2, E3) (or swapped),
   // then keep the top-K bindings by evidence (score desc, id asc).
@@ -197,8 +163,7 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
   obs::TraceSpan plan_span("search.plan");
   JoinExpandLeg(
       index, query.r2, query.e3, ws->norm_scratch,
-      /*grounded_is_object=*/query.e2_is_subject, support_valid, topk.batch,
-      ws, &ws->leg_acc);
+      /*grounded_is_object=*/query.e2_is_subject, ws, &ws->leg_acc);
   ws->leg_acc.ExtractRanked(std::max(0, query.max_join_entities),
                             &ws->binding_list);
   plan_span.End();
@@ -213,8 +178,7 @@ void JoinSearch(const CorpusView& index, const JoinQuery& query,
     for (const auto& [e2, e2_score] : ws->binding_list) {
       JoinExpandLeg(
           index, query.r1, e2, /*grounded_text=*/{},
-          /*grounded_is_object=*/query.e1_is_subject, support_valid,
-          topk.batch, ws, &ws->leg_acc);
+          /*grounded_is_object=*/query.e1_is_subject, ws, &ws->leg_acc);
       const double binding_score = e2_score;
       ws->leg_acc.ForEach([&](EntityId e1, double evidence) {
         // Multiplicative chaining: weak join bindings contribute less.

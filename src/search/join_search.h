@@ -31,12 +31,10 @@ struct JoinQuery {
 
 /// Two-stage evaluation over the annotated corpus: ground e2 via the R2
 /// leg (like Figure 4), then expand each binding through the R1 leg,
-/// aggregating evidence multiplicatively per answer entity.
-std::vector<SearchResult> JoinSearch(const CorpusView& index,
-                                     const JoinQuery& query);
-/// Kernel form: reusable workspace, results into `out`. Top-k applies
-/// to the final ranking; the legs themselves are already bounded by
-/// max_join_entities, so no table pruning runs inside them.
+/// aggregating evidence multiplicatively per answer entity. Reusable
+/// workspace, results into `out`. Top-k applies to the final ranking;
+/// the legs themselves are already bounded by max_join_entities, so no
+/// table pruning runs inside them.
 void JoinSearch(const CorpusView& index, const JoinQuery& query,
                 const TopKOptions& topk, SearchWorkspace* workspace,
                 std::vector<SearchResult>* out);

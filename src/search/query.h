@@ -55,12 +55,6 @@ struct JoinQuery;  // join_search.h
 struct TopKOptions {
   int k = 0;
   bool prune = true;
-  /// Route scoring through the vectorized batch kernel (columnar bound
-  /// screens over selection vectors + gathered-lane scoring sweeps).
-  /// Bit-identical to the scalar path — same answers, same doubles,
-  /// same order — which is retained as the equivalence reference and
-  /// asserted against in search_equivalence_test / exec_batch_test.
-  bool batch = true;
 };
 
 /// Validates catalog ids carried by a query against `catalog`: kNa means

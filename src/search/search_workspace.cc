@@ -331,10 +331,9 @@ void SearchWorkspace::AddText(int32_t table, std::string_view raw,
   evidence_.AddText(table, text_key_scratch_, raw, score);
 }
 
-bool SearchWorkspace::BuildMatchSupport(const CorpusView& corpus) {
+void SearchWorkspace::BuildMatchSupport(const CorpusView& corpus) {
   obs::TraceSpan span("search.match_support");
   support_cols.clear();
-  if (!corpus.HasMatchSupport()) return false;
   std::span<const std::string> tokens = memo_.TargetTokens();
   // A zero-token target normalizes to "", which only exact-matches
   // cells that also normalize to "" — exactly the columns the index
@@ -344,7 +343,7 @@ bool SearchWorkspace::BuildMatchSupport(const CorpusView& corpus) {
          corpus.CellTokenPostings(std::string_view())) {
       support_cols.push_back(ColumnRef{r.table, r.col});
     }
-    return true;
+    return;
   }
   support_scratch.clear();
   for (const std::string& token : tokens) {
@@ -428,7 +427,6 @@ bool SearchWorkspace::BuildMatchSupport(const CorpusView& corpus) {
     }
     i = j;
   }
-  return true;
 }
 
 bool SearchWorkspace::ShouldStop(int k, double remaining) {
@@ -483,11 +481,6 @@ void SearchWorkspace::EnsureFilterClasses() {
   filter_class_type_relation =
       filters.RegisterClass("type_relation", entity_and_support);
   filter_class_baseline = filters.RegisterClass("baseline", support_only);
-}
-
-SearchWorkspace& ThreadLocalSearchWorkspace() {
-  static thread_local SearchWorkspace workspace;
-  return workspace;
 }
 
 }  // namespace webtab

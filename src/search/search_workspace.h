@@ -264,15 +264,15 @@ class SearchWorkspace {
   /// CellTokenPostings: a matching cell needs at least ceil(nb/2) of
   /// the target's nb tokens (CellMatchesText's Jaccard >= 0.5 forces
   /// it), so a column containing fewer distinct target tokens is
-  /// provably matchless. Returns true when the support set is valid
-  /// for pruning; false when the backend lacks match support or the
-  /// target has no tokens (then token absence proves nothing and
-  /// engines must not eliminate anything on it).
-  bool BuildMatchSupport(const CorpusView& corpus);
+  /// provably matchless. A target with no tokens normalizes to "",
+  /// which only matches cells that normalize to "" too — the columns
+  /// listed under the empty token.
+  void BuildMatchSupport(const CorpusView& corpus);
 
   /// Membership tests against the last BuildMatchSupport result
-  /// (sorted by (table, col)).
-  bool ColumnHasMatchSupport(int32_t table, int32_t col) const {
+  /// (sorted by (table, col)): can any cell of the column (table) still
+  /// text-match the target?
+  bool ColumnCanMatch(int32_t table, int32_t col) const {
     auto cmp = [](const ColumnRef& r, const ColumnRef& key) {
       if (r.table != key.table) return r.table < key.table;
       return r.col < key.col;
@@ -280,7 +280,7 @@ class SearchWorkspace {
     return std::binary_search(support_cols.begin(), support_cols.end(),
                               ColumnRef{table, col}, cmp);
   }
-  bool TableHasMatchSupport(int32_t table) const {
+  bool TableCanMatch(int32_t table) const {
     auto it = std::lower_bound(
         support_cols.begin(), support_cols.end(), table,
         [](const ColumnRef& r, int32_t t) { return r.table < t; });
@@ -347,14 +347,15 @@ class SearchWorkspace {
   int filter_class_type = -1;
   int filter_class_type_relation = -1;
   int filter_class_baseline = -1;
-  /// Per-plan-lane scoring verdicts, filled by ComputeColumnVerdicts
-  /// before the score scan. For the type/baseline engines a lane is a
-  /// col_pool position (b-side columns); for the relation engine it is
-  /// a relation-posting index. has_entity: the column holds at least
-  /// one E2-annotated cell, so the entity comparison can fire.
-  /// has_support: the column can text-match the target (or the backend
-  /// cannot prove otherwise), so the memo probe can fire. A lane with
-  /// neither is a proven no-op and its column scan is skipped exactly.
+  /// Per-plan-lane scoring verdicts, filled by FillColumnVerdicts /
+  /// FillRelationVerdicts before each table's score scan. For the
+  /// type/baseline engines a lane is a col_pool position (b-side
+  /// columns); for the relation engine it is a relation-posting index.
+  /// has_entity: the column holds at least one E2-annotated cell, so the
+  /// entity comparison can fire. has_support: the column can text-match
+  /// the target per the match-support set, so the memo probe can fire.
+  /// A lane with neither is a proven no-op and its column scan is
+  /// skipped exactly.
   exec::BitVector lane_has_entity, lane_has_support;
   /// Answer-side gathered lanes for a scoring chunk: slot k holds
   /// column k's rows at stride exec::kBatchSize. Grown past the high
@@ -393,11 +394,6 @@ class SearchWorkspace {
   int64_t stop_check_backoff_ = 1;
   bool explain_enabled_ = false;
 };
-
-/// Per-thread workspace backing the convenience engine wrappers (the
-/// engines never nest, so all four share one instance per thread).
-/// Hot-path callers should own a workspace instead.
-SearchWorkspace& ThreadLocalSearchWorkspace();
 
 }  // namespace webtab
 

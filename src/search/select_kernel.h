@@ -106,16 +106,15 @@ enum class ScreenCond : uint8_t {
   kTableSupport,
 };
 
-/// Batched, filter-adaptive bound fill — the columnar replacement for
-/// the per-table bound_of loop. Plan lanes are processed in
-/// exec::kBatchSize batches; per batch the screen conditions run as
-/// columnar PartitionInto passes in the FilterManager's current order
-/// (disjunctive: a lane any condition proves alive skips the rest).
-/// Lanes no condition claims are proven to contribute zero evidence —
-/// their bound is exactly 0.0, the same double the scalar refined
-/// formula produces for them — and only survivors pay the exact
-/// refined-bound computation (`refined_of(p, counter)`, the engine's
-/// scalar formula verbatim, so survivor bounds are bit-identical too).
+/// Batched, filter-adaptive bound fill — every select engine's
+/// `fill_bounds`. Plan lanes are processed in exec::kBatchSize batches;
+/// per batch the screen conditions run as columnar PartitionInto passes
+/// in the FilterManager's current order (disjunctive: a lane any
+/// condition proves alive skips the rest). Lanes no condition claims
+/// are proven to contribute zero evidence — their bound is exactly 0.0,
+/// the same double the refined formula produces for them — and only
+/// survivors pay the exact refined-bound computation
+/// (`refined_of(p, counter)`, the engine's per-table formula).
 ///
 /// Counter discipline: PostingRunCounter seeks forward only, so every
 /// columnar pass gets a fresh counter, and the survivor list is
@@ -153,7 +152,7 @@ void BatchedBoundFill(SearchWorkspace* ws, int cls,
           case ScreenCond::kTableSupport: {
             batch.active.PartitionInto(
                 &batch.scratch, [&](uint32_t t) {
-                  return ws->TableHasMatchSupport(ws->plan[base + t].table);
+                  return ws->TableCanMatch(ws->plan[base + t].table);
                 });
             break;
           }
@@ -203,19 +202,18 @@ inline void PrepareVerdictLanes(SearchWorkspace* ws, size_t num_lanes) {
 /// the scoring-side verdict pass. has_entity: the column holds an
 /// E2-annotated cell, so the batch scorer gathers the entity lane and
 /// runs the comparison. has_support: the column can text-match the
-/// target (or the backend cannot prove otherwise), so the memo probe
-/// runs. Both false proves the column's scan emits no Add at all, and
-/// the scorer skips it — exact, including on full-rank scans where the
-/// bound screen never runs.
+/// target per the match-support set, so the memo probe runs. Both false
+/// proves the column's scan emits no Add at all, and the scorer skips
+/// it — exact, including on full-rank scans where the bound screen
+/// never runs.
 inline void FillColumnVerdicts(SearchWorkspace* ws, const PlannedTable& p,
                                PostingRunCounter<CellRef>* e2_runs,
-                               bool e2_present, bool support_valid) {
+                               bool e2_present) {
   for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
     const int32_t col = ws->col_pool[bi];
     ws->lane_has_entity.Assign(
         bi, e2_present && e2_runs->CountAtCol(p.table, col) > 0);
-    ws->lane_has_support.Assign(
-        bi, !support_valid || ws->ColumnHasMatchSupport(p.table, col));
+    ws->lane_has_support.Assign(bi, ws->ColumnCanMatch(p.table, col));
   }
 }
 
@@ -226,15 +224,13 @@ inline void FillRelationVerdicts(SearchWorkspace* ws,
                                  const PlannedTable& p,
                                  std::span<const RelationRef> postings,
                                  PostingRunCounter<CellRef>* e2_runs,
-                                 bool e2_present, bool support_valid) {
+                                 bool e2_present) {
   for (uint32_t ri = p.a_begin; ri < p.a_end; ++ri) {
     const RelationRef& ref = postings[ri];
     const int32_t object_col = ref.swapped ? ref.c1 : ref.c2;
     ws->lane_has_entity.Assign(
         ri, e2_present && e2_runs->CountAtCol(p.table, object_col) > 0);
-    ws->lane_has_support.Assign(
-        ri,
-        !support_valid || ws->ColumnHasMatchSupport(p.table, object_col));
+    ws->lane_has_support.Assign(ri, ws->ColumnCanMatch(p.table, object_col));
   }
 }
 
@@ -245,10 +241,10 @@ inline void FillRelationVerdicts(SearchWorkspace* ws,
 /// lets `score_chunk(batch, n, has_entity, has_support)` build the
 /// surviving-row selection vector (batch->active ascending, parallel
 /// row scores in batch->score), then gathers the answer-side lanes
-/// once per chunk and emits `emit(k, i, rs)` in the scalar
-/// path's exact (b asc, row asc, a asc) order — so every Add call, and
-/// with it every accumulated double and display string, is
-/// bit-identical to the scalar reference.
+/// once per chunk and emits `emit(k, i, rs)` in the reference engines'
+/// exact (b asc, row asc, a asc) order — so every Add call, and with it
+/// every accumulated double and display string, is bit-identical to
+/// tests/reference_search.h.
 template <typename ScoreChunkFn, typename EmitFn>
 void ScoreTableBatched(SearchWorkspace* ws, const CorpusView& index,
                        const PlannedTable& p, bool need_answer_entities,
@@ -331,10 +327,9 @@ inline void RecordQueryStatsMetrics(
 /// The shared execution skeleton every select engine runs after
 /// building its plan: record plan stats, compute per-table bounds and
 /// suffix sums when pruning applies (`fill_bounds()` writes every
-/// plan entry's upper bound on one answer's evidence — either the
-/// engine's scalar loop or the batched adaptive screen above), then
-/// score tables in ascending order with the safe early-stop check
-/// after each.
+/// plan entry's upper bound on one answer's evidence through the
+/// batched adaptive screen above), then score tables in ascending order
+/// with the safe early-stop check after each.
 /// Keeping this in one place keeps the stop condition and stats
 /// accounting from drifting apart across engines.
 ///

@@ -4,21 +4,6 @@
 
 namespace webtab {
 
-std::vector<SearchResult> TypeRelationSearch(const CorpusView& index,
-                                             const SelectQuery& query) {
-  // Normalize E2's string form once (not per cell comparison).
-  return TypeRelationSearch(index, query, NormalizeSelectQuery(query));
-}
-
-std::vector<SearchResult> TypeRelationSearch(
-    const CorpusView& index, const SelectQuery& query,
-    const NormalizedSelectQuery& nq) {
-  std::vector<SearchResult> out;
-  TypeRelationSearch(index, query, nq, TopKOptions{},
-             &ThreadLocalSearchWorkspace(), &out);
-  return out;
-}
-
 void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
                         const NormalizedSelectQuery& nq,
                         const TopKOptions& topk, SearchWorkspace* ws,
@@ -29,12 +14,9 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
   using search_internal::ScreenCond;
 
   ws->BeginSelect(nq.e2_text);
-  const bool prune = topk.k > 0 && topk.prune;
   // See type_search.cc: entity postings bound the annotated E2 hits,
   // the cell-token support set bounds where text fallback can fire.
-  const bool support_valid =
-      (prune || topk.batch) && ws->BuildMatchSupport(index);
-  const bool refine = prune && support_valid;
+  ws->BuildMatchSupport(index);
   const bool e2_present = query.e2 != kNa;
   const std::span<const CellRef> e2_postings =
       e2_present ? index.EntityPostings(query.e2)
@@ -64,8 +46,7 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
   // annotated pair) of the table. Refined: per pair at most the object
   // column's E2-annotated cell count (1.2 each) plus, only when that
   // object column can text-match the target, rows text fallbacks
-  // (0.7). Shared by the scalar loop and the batched screen's survivor
-  // pass.
+  // (0.7). The batched screen runs it on its survivors.
   auto refined_bound = [&](const PlannedTable& p,
                            PostingRunCounter<CellRef>* e2_runs) {
     const double rows = index.rows(p.table);
@@ -77,70 +58,27 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
       const int object_col = ref.swapped ? ref.c1 : ref.c2;
       // Only E2 annotations in this pair's object column count.
       refined += 1.2 * e2_runs->CountAtCol(p.table, object_col);
-      if (ws->ColumnHasMatchSupport(p.table, object_col)) {
+      if (ws->ColumnCanMatch(p.table, object_col)) {
         refined += 0.7 * rows;
       }
     }
     return std::min(bound, refined);
   };
   auto fill_bounds = [&] {
-    if (!refine) {
-      for (PlannedTable& p : ws->plan) {
-        const double rows = index.rows(p.table);
-        const double runs = p.a_end - p.a_begin;
-        p.bound = rows * 1.2 * runs;
-      }
-      return;
-    }
-    if (topk.batch) {
-      ws->EnsureFilterClasses();
-      static constexpr ScreenCond kKinds[] = {ScreenCond::kEntityRun,
-                                              ScreenCond::kTableSupport};
-      search_internal::BatchedBoundFill(ws,
-                                        ws->filter_class_type_relation,
-                                        kKinds, e2_postings, e2_blocks,
-                                        refined_bound);
-      return;
-    }
-    PostingRunCounter<CellRef> e2_runs(e2_postings, e2_blocks);
-    for (PlannedTable& p : ws->plan) p.bound = refined_bound(p, &e2_runs);
-  };
-
-  auto scalar_score = [&](const PlannedTable& p) {
-    for (uint32_t ri = p.a_begin; ri < p.a_end; ++ri) {
-      const RelationRef& ref = postings[ri];
-      // Subject column holds E1 (answers); object column holds E2.
-      int subject_col = ref.swapped ? ref.c2 : ref.c1;
-      int object_col = ref.swapped ? ref.c1 : ref.c2;
-      const int num_rows = index.rows(ref.table);
-      for (int r = 0; r < num_rows; ++r) {
-        double row_score = 0.0;
-        EntityId obj = index.CellEntity(ref.table, r, object_col);
-        if (query.e2 != kNa && obj == query.e2) {
-          row_score = 1.2;  // Relation + entity annotated: strongest.
-        } else if (ws->CellMatches(
-                       index.cell(ref.table, r, object_col))) {
-          row_score = 0.7;
-        }
-        if (row_score <= 0.0) continue;
-        EntityId answer = index.CellEntity(ref.table, r, subject_col);
-        if (answer != kNa) {
-          ws->AddEntity(ref.table, answer,
-                        index.cell(ref.table, r, subject_col), row_score);
-        } else {
-          ws->AddText(ref.table, index.cell(ref.table, r, subject_col),
-                      row_score * 0.8);
-        }
-      }
-    }
+    ws->EnsureFilterClasses();
+    static constexpr ScreenCond kKinds[] = {ScreenCond::kEntityRun,
+                                            ScreenCond::kTableSupport};
+    search_internal::BatchedBoundFill(ws, ws->filter_class_type_relation,
+                                      kKinds, e2_postings, e2_blocks,
+                                      refined_bound);
   };
 
   // Lazy verdict counter: scored tables arrive in ascending order, so
   // one forward counter serves every FillRelationVerdicts call.
   PostingRunCounter<CellRef> verdict_runs{e2_postings, e2_blocks};
-  auto batch_score = [&](const PlannedTable& p) {
+  auto score_table = [&](const PlannedTable& p) {
     search_internal::FillRelationVerdicts(ws, p, postings, &verdict_runs,
-                                          e2_present, support_valid);
+                                          e2_present);
     exec::ScoreBatch& batch = ws->batch;
     ws->EnsureGatherCapacity(1);
     for (uint32_t ri = p.a_begin; ri < p.a_end; ++ri) {
@@ -204,12 +142,8 @@ void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
     }
   };
 
-  if (topk.batch) {
-    search_internal::PrepareVerdictLanes(ws, postings.size());
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, batch_score);
-  } else {
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, scalar_score);
-  }
+  search_internal::PrepareVerdictLanes(ws, postings.size());
+  search_internal::RunPlannedTables(ws, topk, fill_bounds, score_table);
   ws->EmitRanked(topk, out);
 }
 

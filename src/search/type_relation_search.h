@@ -13,13 +13,9 @@ namespace webtab {
 /// with relation R (direction-aware), reads E2 from the object column by
 /// entity annotation (text fallback per Figure 4 line 7), and collects
 /// the subject column's answers, aggregating evidence per entity.
-std::vector<SearchResult> TypeRelationSearch(const CorpusView& index,
-                                             const SelectQuery& query);
-/// Pre-normalized variant (cache key and engine share one tokenization).
-std::vector<SearchResult> TypeRelationSearch(
-    const CorpusView& index, const SelectQuery& query,
-    const NormalizedSelectQuery& normalized);
-/// Kernel form: reusable workspace, results into `out`, top-k pruning.
+/// Takes a pre-normalized query (cache key and engine share one
+/// tokenization), a reusable workspace, results into `out`, top-k
+/// pruning per TopKOptions.
 void TypeRelationSearch(const CorpusView& index, const SelectQuery& query,
                         const NormalizedSelectQuery& normalized,
                         const TopKOptions& topk, SearchWorkspace* workspace,

@@ -4,21 +4,6 @@
 
 namespace webtab {
 
-std::vector<SearchResult> TypeSearch(const CorpusView& index,
-                                     const SelectQuery& query) {
-  // Normalize E2's string form once (not per cell comparison).
-  return TypeSearch(index, query, NormalizeSelectQuery(query));
-}
-
-std::vector<SearchResult> TypeSearch(const CorpusView& index,
-                                     const SelectQuery& query,
-                                     const NormalizedSelectQuery& nq) {
-  std::vector<SearchResult> out;
-  TypeSearch(index, query, nq, TopKOptions{},
-             &ThreadLocalSearchWorkspace(), &out);
-  return out;
-}
-
 void TypeSearch(const CorpusView& index, const SelectQuery& query,
                 const NormalizedSelectQuery& nq, const TopKOptions& topk,
                 SearchWorkspace* ws, std::vector<SearchResult>* out) {
@@ -29,16 +14,13 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
   using search_internal::ScreenCond;
 
   ws->BeginSelect(nq.e2_text);
-  const bool prune = topk.k > 0 && topk.prune;
   // Match-support refinement: with the cell-token index we know exactly
   // which tables can text-match E2 (CellMatchesText needs a shared
   // token), and the entity postings say how many cells are annotated
-  // with E2. A table with neither contributes zero evidence. The batch
-  // path builds the support set even on full-rank scans — its
-  // scoring-side verdicts eliminate proven-matchless columns there too.
-  const bool support_valid =
-      (prune || topk.batch) && ws->BuildMatchSupport(index);
-  const bool refine = prune && support_valid;
+  // with E2. A table with neither contributes zero evidence. The support
+  // set is built even on full-rank scans — the scoring-side verdicts
+  // eliminate proven-matchless columns there too.
+  ws->BuildMatchSupport(index);
   const bool e2_present = query.e2 != kNa;
   const std::span<const CellRef> e2_postings =
       e2_present ? index.EntityPostings(query.e2)
@@ -68,9 +50,8 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
   // answer cell, matching E2 column) triple. With match support the E2
   // side tightens: per b-column, at most its count of E2-annotated
   // cells at 1.0 each, plus text fallbacks (0.6) only when that column
-  // actually contains enough of the target's tokens. Shared verbatim
-  // by the scalar loop and the batched screen's survivor pass, so both
-  // produce the same doubles.
+  // actually contains enough of the target's tokens. The batched screen
+  // runs it on its survivors.
   auto refined_bound = [&](const PlannedTable& p,
                            PostingRunCounter<CellRef>* e2_runs) {
     const double rows = index.rows(p.table);
@@ -81,74 +62,29 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
     for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
       const int col = ws->col_pool[bi];
       refined += e2_runs->CountAtCol(p.table, col);
-      if (ws->ColumnHasMatchSupport(p.table, col)) {
+      if (ws->ColumnCanMatch(p.table, col)) {
         refined += 0.6 * rows;
       }
     }
     return std::min(bound, a * refined);
   };
   auto fill_bounds = [&] {
-    if (!refine) {
-      for (PlannedTable& p : ws->plan) {
-        const double rows = index.rows(p.table);
-        const double a = p.a_end - p.a_begin;
-        const double b = p.b_end - p.b_begin;
-        p.bound = rows * a * b;
-      }
-      return;
-    }
-    if (topk.batch) {
-      ws->EnsureFilterClasses();
-      static constexpr ScreenCond kKinds[] = {ScreenCond::kEntityRun,
-                                              ScreenCond::kTableSupport};
-      search_internal::BatchedBoundFill(ws, ws->filter_class_type, kKinds,
-                                        e2_postings, e2_blocks,
-                                        refined_bound);
-      return;
-    }
-    PostingRunCounter<CellRef> e2_runs(e2_postings, e2_blocks);
-    for (PlannedTable& p : ws->plan) p.bound = refined_bound(p, &e2_runs);
-  };
-
-  auto scalar_score = [&](const PlannedTable& p) {
-    const int table = p.table;
-    const int num_rows = index.rows(table);
-    for (uint32_t bi = p.b_begin; bi < p.b_end; ++bi) {
-      const int c2 = ws->col_pool[bi];
-      for (int r = 0; r < num_rows; ++r) {
-        double row_score = 0.0;
-        EntityId cell_entity = index.CellEntity(table, r, c2);
-        if (query.e2 != kNa && cell_entity == query.e2) {
-          row_score = 1.0;  // Annotated hit.
-        } else if (ws->CellMatches(index.cell(table, r, c2))) {
-          row_score = 0.6;  // Text fallback.
-        }
-        if (row_score <= 0.0) continue;
-        for (uint32_t ai = p.a_begin; ai < p.a_end; ++ai) {
-          const int c1 = ws->col_pool[ai];
-          if (c1 == c2) continue;
-          EntityId answer = index.CellEntity(table, r, c1);
-          if (answer != kNa) {
-            ws->AddEntity(table, answer, index.cell(table, r, c1),
-                          row_score);
-          } else {
-            ws->AddText(table, index.cell(table, r, c1), row_score * 0.8);
-          }
-        }
-      }
-    }
+    ws->EnsureFilterClasses();
+    static constexpr ScreenCond kKinds[] = {ScreenCond::kEntityRun,
+                                            ScreenCond::kTableSupport};
+    search_internal::BatchedBoundFill(ws, ws->filter_class_type, kKinds,
+                                      e2_postings, e2_blocks, refined_bound);
   };
 
   // Lazy verdict counter: scored tables arrive in ascending order, so
   // one forward counter serves every FillColumnVerdicts call.
   PostingRunCounter<CellRef> verdict_runs{e2_postings, e2_blocks};
-  auto batch_score = [&](const PlannedTable& p) {
-    search_internal::FillColumnVerdicts(ws, p, &verdict_runs, e2_present,
-                                        support_valid);
+  auto score_table = [&](const PlannedTable& p) {
+    search_internal::FillColumnVerdicts(ws, p, &verdict_runs, e2_present);
     const int table = p.table;
-    // Row-chunk scoring pass: survivors keep the same row_score the
-    // scalar loop computes, and the memo is probed for exactly the
-    // same cells in the same order (an entity hit short-circuits it).
+    // Row-chunk scoring pass: an annotated hit scores 1.0, a text
+    // fallback 0.6, and the memo is probed in row order (an entity hit
+    // short-circuits it).
     auto score_chunk = [&](exec::ScoreBatch* batch, int n, bool has_entity,
                            bool has_support) {
       uint32_t* tids = batch->active.mutable_data();
@@ -196,12 +132,8 @@ void TypeSearch(const CorpusView& index, const SelectQuery& query,
         });
   };
 
-  if (topk.batch) {
-    search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, batch_score);
-  } else {
-    search_internal::RunPlannedTables(ws, topk, fill_bounds, scalar_score);
-  }
+  search_internal::PrepareVerdictLanes(ws, ws->col_pool.size());
+  search_internal::RunPlannedTables(ws, topk, fill_bounds, score_table);
   ws->EmitRanked(topk, out);
 }
 

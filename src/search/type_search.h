@@ -15,15 +15,10 @@ namespace webtab {
 /// cell entity annotation when the query's E2 is grounded, falling back
 /// to text similarity; answers are resolved through cell entity
 /// annotations when present.
-std::vector<SearchResult> TypeSearch(const CorpusView& index,
-                                     const SelectQuery& query);
-/// Pre-normalized variant (cache key and engine share one tokenization).
-std::vector<SearchResult> TypeSearch(const CorpusView& index,
-                                     const SelectQuery& query,
-                                     const NormalizedSelectQuery& normalized);
-/// The kernel form every caller on a hot path uses: reusable workspace
-/// (zero steady-state allocations), results emitted into `out`
-/// (reused), top-k with safe pruning per TopKOptions.
+/// Takes a pre-normalized query (cache key and engine share one
+/// tokenization), a reusable workspace (zero steady-state
+/// allocations), results emitted into `out` (reused), top-k with safe
+/// pruning per TopKOptions.
 void TypeSearch(const CorpusView& index, const SelectQuery& query,
                 const NormalizedSelectQuery& normalized,
                 const TopKOptions& topk, SearchWorkspace* workspace,

@@ -27,10 +27,11 @@ namespace storage {
 
 inline constexpr char kMagic[8] = {'W', 'T', 'S', 'N', 'A', 'P', '0', '1'};
 inline constexpr uint32_t kFormatVersion = 1;
-/// Backward-compatible revision within kFormatVersion. Minor 1 adds the
-/// block-max section; readers accept any minor (new sections are
-/// skipped by old readers, and new readers fall back when the section
-/// is absent).
+/// Revision within kFormatVersion. Minor 1 adds the block-max section,
+/// which readers require next to a corpus section: a file with a corpus
+/// section but no block-max section (every minor-0 corpus file) is
+/// rejected at open; catalog-only files open at any minor. Unknown
+/// section kinds are skipped.
 inline constexpr uint64_t kFormatVersionMinor = 1;
 
 enum SectionKind : uint32_t {

@@ -7,7 +7,6 @@
 
 #include <cstring>
 
-#include "common/logging.h"
 #include "storage/format.h"
 
 namespace webtab {
@@ -138,18 +137,13 @@ Result<Snapshot> Snapshot::Open(const std::string& path,
         snap.corpus_->AttachBlockMax(base + info.offset, info.size));
   }
   if (snap.corpus_ != nullptr && !snap.corpus_->has_block_max()) {
-    // Pre-minor-1 snapshot: search still works, but top-k pruning
-    // cannot fire. Warn once per process, not per open — hot-swap
-    // reloads would otherwise spam the log.
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
-      WEBTAB_LOG(Warning)
-          << "snapshot " << path
-          << " predates the block-max index (format minor "
-          << snap.version_minor_
-          << "); search falls back to unpruned scans";
-    }
+    // The engines prove columns text-matchless from the block-max
+    // section's match-support index, so a corpus without it (files
+    // written before format minor 1) cannot be searched.
+    return Status::ParseError(
+        "snapshot " + path + " has a corpus section but no block-max " +
+        "section (format minor " + std::to_string(snap.version_minor_) +
+        "); rebuild it with the current snapshot writer");
   }
   if (snap.catalog_ == nullptr) {
     return Status::ParseError("snapshot has no catalog section: " + path);

@@ -46,6 +46,9 @@ class Snapshot {
     uint64_t size = 0;
   };
 
+  /// A file with a corpus section but no block-max section (written
+  /// before format minor 1) returns kParseError: the engines need its
+  /// match-support index.
   static Result<Snapshot> Open(const std::string& path,
                                const OpenOptions& options);
   static Result<Snapshot> Open(const std::string& path) {

@@ -992,23 +992,20 @@ Status SnapshotCorpusView::DeepValidate() const {
           return a.c2 < b.c2;
         }));
   }
-  if (has_block_max_) {
-    auto rows_of = [this](int32_t t) { return table_meta_[t].rows; };
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(header_blocks_, header_postings_,
-                                         rows_of, "header"));
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(context_blocks_, context_postings_,
-                                         rows_of, "context"));
-    WEBTAB_RETURN_IF_ERROR(
-        CheckBlockMax(type_blocks_, type_postings_, rows_of, "type"));
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(relation_blocks_,
-                                         relation_postings_, rows_of,
-                                         "relation"));
-    WEBTAB_RETURN_IF_ERROR(CheckBlockMax(entity_blocks_, entity_postings_,
-                                         rows_of, "entity"));
-    WEBTAB_RETURN_IF_ERROR(CheckArenaSorted(cell_tokens_, "cell tokens"));
-    WEBTAB_RETURN_IF_ERROR(
-        CheckPostingsTableOrder(cell_token_postings_, "cell token"));
-  }
+  auto rows_of = [this](int32_t t) { return table_meta_[t].rows; };
+  WEBTAB_RETURN_IF_ERROR(
+      CheckBlockMax(header_blocks_, header_postings_, rows_of, "header"));
+  WEBTAB_RETURN_IF_ERROR(
+      CheckBlockMax(context_blocks_, context_postings_, rows_of, "context"));
+  WEBTAB_RETURN_IF_ERROR(
+      CheckBlockMax(type_blocks_, type_postings_, rows_of, "type"));
+  WEBTAB_RETURN_IF_ERROR(CheckBlockMax(relation_blocks_, relation_postings_,
+                                       rows_of, "relation"));
+  WEBTAB_RETURN_IF_ERROR(
+      CheckBlockMax(entity_blocks_, entity_postings_, rows_of, "entity"));
+  WEBTAB_RETURN_IF_ERROR(CheckArenaSorted(cell_tokens_, "cell tokens"));
+  WEBTAB_RETURN_IF_ERROR(
+      CheckPostingsTableOrder(cell_token_postings_, "cell token"));
   return Status::Ok();
 }
 
@@ -1065,7 +1062,6 @@ std::span<const CellRef> SnapshotCorpusView::EntityPostings(
 
 std::span<const CellTokenRef> SnapshotCorpusView::CellTokenPostings(
     std::string_view token) const {
-  if (!has_block_max_) return {};
   int64_t i = FindToken(cell_tokens_, token);
   return i < 0 ? std::span<const CellTokenRef>()
                : cell_token_postings_.Row(i);
@@ -1073,14 +1069,12 @@ std::span<const CellTokenRef> SnapshotCorpusView::CellTokenPostings(
 
 PostingBlockSpan SnapshotCorpusView::HeaderPostingBlocks(
     std::string_view token) const {
-  if (!has_block_max_) return {};
   int64_t i = FindToken(header_tokens_, token);
   return i < 0 ? PostingBlockSpan() : header_blocks_.Row(i);
 }
 
 PostingBlockSpan SnapshotCorpusView::ContextPostingBlocks(
     std::string_view token) const {
-  if (!has_block_max_) return {};
   int64_t i = FindToken(context_tokens_, token);
   return i < 0 ? PostingBlockSpan() : context_blocks_.Row(i);
 }
@@ -1088,8 +1082,7 @@ PostingBlockSpan SnapshotCorpusView::ContextPostingBlocks(
 namespace {
 PostingBlockSpan KeyedBlocks(std::span<const int32_t> keys,
                              const CsrView<PostingBlockMax>& csr,
-                             int32_t key, bool present) {
-  if (!present) return {};
+                             int32_t key) {
   auto it = std::lower_bound(keys.begin(), keys.end(), key);
   if (it == keys.end() || *it != key) return {};
   return csr.Row(static_cast<uint64_t>(it - keys.begin()));
@@ -1097,16 +1090,16 @@ PostingBlockSpan KeyedBlocks(std::span<const int32_t> keys,
 }  // namespace
 
 PostingBlockSpan SnapshotCorpusView::TypePostingBlocks(TypeId t) const {
-  return KeyedBlocks(type_keys_, type_blocks_, t, has_block_max_);
+  return KeyedBlocks(type_keys_, type_blocks_, t);
 }
 
 PostingBlockSpan SnapshotCorpusView::RelationPostingBlocks(
     RelationId b) const {
-  return KeyedBlocks(relation_keys_, relation_blocks_, b, has_block_max_);
+  return KeyedBlocks(relation_keys_, relation_blocks_, b);
 }
 
 PostingBlockSpan SnapshotCorpusView::EntityPostingBlocks(EntityId e) const {
-  return KeyedBlocks(entity_keys_, entity_blocks_, e, has_block_max_);
+  return KeyedBlocks(entity_keys_, entity_blocks_, e);
 }
 
 }  // namespace storage

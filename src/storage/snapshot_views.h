@@ -170,21 +170,21 @@ class SnapshotCorpusView : public CorpusView {
   /// corpus view. `base/size` are the block-max section's bytes.
   /// Validates shape: every block CSR must be row-aligned with its
   /// corpus postings twin (ceil(len / kPostingBlockSize) blocks per
-  /// row) and every cell-token table id in range. Without this call the
-  /// view reports HasMatchSupport() == false and engines fall back to
-  /// the unpruned ascending scan.
+  /// row) and every cell-token table id in range. Snapshot::Open
+  /// rejects a corpus whose block-max section is missing, so every view
+  /// it hands out has one attached.
   Status AttachBlockMax(const uint8_t* base, uint64_t size);
 
   /// Hostile-file invariants: token arenas and postings key arrays
   /// sorted, per-table relation rows sorted by (c1, c2), and every
   /// postings row table-sorted (the CorpusView ordering contract the
   /// search kernel's galloping cursors rely on) — all are binary
-  /// searched by the engines. When a block-max section is attached,
-  /// additionally: block refs in table order and exactly matching each
-  /// block's final posting, declared bounds no smaller than the
-  /// contained postings, and the cell-token match-support index sorted
-  /// (engines *skip* tables based on it, so a lying index would
-  /// silently drop evidence rather than crash).
+  /// searched by the engines. For the block-max section: block refs in
+  /// table order and exactly matching each block's final posting,
+  /// declared bounds no smaller than the contained postings, and the
+  /// cell-token match-support index sorted (engines *skip* tables based
+  /// on it, so a lying index would silently drop evidence rather than
+  /// crash).
   Status DeepValidate() const;
 
   int64_t num_tables() const override { return header_.num_tables; }
@@ -240,7 +240,6 @@ class SnapshotCorpusView : public CorpusView {
   std::span<const RelationRef> RelationPostings(RelationId b) const override;
   std::span<const CellRef> EntityPostings(EntityId e) const override;
 
-  bool HasMatchSupport() const override { return has_block_max_; }
   std::span<const CellTokenRef> CellTokenPostings(
       std::string_view token) const override;
   PostingBlockSpan HeaderPostingBlocks(
@@ -275,7 +274,7 @@ class SnapshotCorpusView : public CorpusView {
   CsrView<RelationRef> relation_postings_;
   std::span<const EntityId> entity_keys_;
   CsrView<CellRef> entity_postings_;
-  // Block-max section (absent in minor-0 snapshots).
+  // Block-max section; Snapshot::Open requires it with a corpus.
   bool has_block_max_ = false;
   CsrView<PostingBlockMax> header_blocks_, context_blocks_, type_blocks_,
       relation_blocks_, entity_blocks_;

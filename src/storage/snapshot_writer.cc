@@ -478,11 +478,6 @@ SnapshotBuilder& SnapshotBuilder::SetCorpus(const CorpusIndex* corpus) {
   return *this;
 }
 
-SnapshotBuilder& SnapshotBuilder::SetWriteBlockMax(bool write) {
-  write_block_max_ = write;
-  return *this;
-}
-
 Status SnapshotBuilder::WriteTo(std::vector<uint8_t>* out) const {
   if (catalog_ == nullptr) {
     return Status::FailedPrecondition("snapshot requires a catalog payload");
@@ -496,10 +491,7 @@ Status SnapshotBuilder::WriteTo(std::vector<uint8_t>* out) const {
   }
   if (corpus_ != nullptr) {
     sections.emplace_back(kCorpusSection, BuildCorpusSection(*corpus_));
-    if (write_block_max_) {
-      sections.emplace_back(kBlockMaxSection,
-                            BuildBlockMaxSection(*corpus_));
-    }
+    sections.emplace_back(kBlockMaxSection, BuildBlockMaxSection(*corpus_));
   }
 
   out->clear();
@@ -517,9 +509,7 @@ Status SnapshotBuilder::WriteTo(std::vector<uint8_t>* out) const {
   FileHeader header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kFormatVersion;
-  // Legacy layout (no block-max section) is exactly minor 0.
-  header.version_minor =
-      (corpus_ != nullptr && write_block_max_) ? kFormatVersionMinor : 0;
+  header.version_minor = kFormatVersionMinor;
   header.section_count = static_cast<uint32_t>(entries.size());
   header.section_table_offset = out->size();
   const uint8_t* entry_bytes =

@@ -32,15 +32,10 @@ class SnapshotBuilder {
   /// writer serializes its postings lists and vocabulary verbatim).
   SnapshotBuilder& SetLemmaIndex(const LemmaIndex* index);
 
-  /// Optional corpus payload (annotated tables + postings).
+  /// Optional corpus payload (annotated tables + postings). Always
+  /// written together with its block-max section, which readers
+  /// require.
   SnapshotBuilder& SetCorpus(const CorpusIndex* corpus);
-
-  /// Whether to emit the block-max section alongside the corpus section
-  /// (default true). Off produces a format-minor-0 file — the layout of
-  /// snapshots written before the block-max index existed — which
-  /// readers open fine with the unpruned-scan fallback; tests use it to
-  /// cover that path.
-  SnapshotBuilder& SetWriteBlockMax(bool write);
 
   /// Serializes to an in-memory buffer (header + payload + section
   /// table, checksummed) — the exact bytes WriteToFile would emit.
@@ -53,7 +48,6 @@ class SnapshotBuilder {
   const CatalogView* catalog_ = nullptr;
   const LemmaIndex* index_ = nullptr;
   const CorpusIndex* corpus_ = nullptr;
-  bool write_block_max_ = true;
 };
 
 }  // namespace storage

@@ -21,6 +21,7 @@
 #include "search/corpus_index.h"
 #include "search/type_relation_search.h"
 #include "search/type_search.h"
+#include "snapshot_bytes.h"
 #include "storage/format.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_writer.h"
@@ -32,48 +33,13 @@ namespace {
 
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::FixChecksum;
+using testing_util::ReadPod;
+using testing_util::SectionOffsetOf;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(f.good());
-}
-
-template <typename T>
-T ReadPod(const std::vector<uint8_t>& bytes, uint64_t offset) {
-  T out;
-  std::memcpy(&out, bytes.data() + offset, sizeof(T));
-  return out;
-}
-
-uint64_t SectionOffsetOf(const std::vector<uint8_t>& bytes, uint32_t kind) {
-  auto header = ReadPod<storage::FileHeader>(bytes, 0);
-  for (uint32_t i = 0; i < header.section_count; ++i) {
-    auto entry = ReadPod<storage::SectionEntry>(
-        bytes, header.section_table_offset +
-                   i * sizeof(storage::SectionEntry));
-    if (entry.kind == kind) return entry.offset;
-  }
-  return 0;
-}
-
-/// Recomputes the payload checksum after a surgical mutation, so the
-/// file models an attacker-authored snapshot rather than bit rot.
-void FixChecksum(std::vector<uint8_t>* bytes) {
-  const uint64_t payload = sizeof(storage::FileHeader);
-  uint64_t checksum = storage::Checksum64(bytes->data() + payload,
-                                          bytes->size() - payload);
-  std::memcpy(bytes->data() + offsetof(storage::FileHeader,
-                                       payload_checksum),
-              &checksum, sizeof(checksum));
-}
+using testing_util::TempPath;
+using testing_util::WriteBytes;
 
 // --- Pruned-prefix property -----------------------------------------------
 

@@ -8,10 +8,12 @@
 //     Record/EndBatch sequence produce a fixed permutation trace, the
 //     exploit order follows measured pass-rate-per-cost, and
 //     exploration rounds fire on schedule.
-//   - Batch-vs-scalar engine equivalence: every engine, on both corpus
-//     backends, across k and prune settings, must produce bit-identical
-//     results with TopKOptions::batch on and off (the scalar path is
-//     the retained equivalence reference).
+//   - Kernel-vs-reference engine equivalence: every engine, on both
+//     corpus backends, across k and prune settings, against the
+//     map/set reference engines (tests/reference_search.h): bit-identical
+//     to the reference truncated to k for full-rank and unpruned runs,
+//     the same prefix with lower-bound scores for pruned runs, and
+//     bit-identical across the two backends.
 //   - EXPLAIN filter-log determinism: two fresh workspaces replaying
 //     the same query sequence log the same screen decisions bit for
 //     bit, including the adaptive reorderer's permutations.
@@ -26,6 +28,7 @@
 #include "exec/filter_manager.h"
 #include "exec/score_batch.h"
 #include "exec/tid_list.h"
+#include "reference_search.h"
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
 #include "search/join_search.h"
@@ -244,7 +247,7 @@ TEST(FilterManagerTest, ExploresOnSchedule) {
   EXPECT_EQ(explore_rounds, 3);
 }
 
-// --- Batch vs scalar engine equivalence -----------------------------------
+// --- Kernel vs reference engine equivalence -------------------------------
 
 class ExecBatchEquivalenceTest : public ::testing::Test {
  protected:
@@ -337,32 +340,61 @@ struct EngineCase {
   void (*kernel)(const CorpusView&, const SelectQuery&,
                  const NormalizedSelectQuery&, const TopKOptions&,
                  SearchWorkspace*, std::vector<SearchResult>*);
+  std::vector<SearchResult> (*reference)(const CorpusView&,
+                                         const SelectQuery&,
+                                         const NormalizedSelectQuery&);
 };
 
 const EngineCase kEngines[] = {
-    {"baseline", &BaselineSearch},
-    {"type", &TypeSearch},
-    {"type_relation", &TypeRelationSearch},
+    {"baseline", &BaselineSearch, &testing_util::ReferenceBaselineSearch},
+    {"type", &TypeSearch, &testing_util::ReferenceTypeSearch},
+    {"type_relation", &TypeRelationSearch,
+     &testing_util::ReferenceTypeRelationSearch},
 };
 
-void ExpectBitIdentical(const std::vector<SearchResult>& batch,
-                        const std::vector<SearchResult>& scalar,
+void ExpectBitIdentical(const std::vector<SearchResult>& got,
+                        const std::vector<SearchResult>& want,
                         const std::string& context) {
-  ASSERT_EQ(batch.size(), scalar.size()) << context;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i].entity, scalar[i].entity) << context << " @" << i;
-    EXPECT_EQ(batch[i].text, scalar[i].text) << context << " @" << i;
-    EXPECT_EQ(batch[i].score, scalar[i].score)  // Bitwise doubles.
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].entity, want[i].entity) << context << " @" << i;
+    EXPECT_EQ(got[i].text, want[i].text) << context << " @" << i;
+    EXPECT_EQ(got[i].score, want[i].score)  // Bitwise doubles.
         << context << " @" << i;
   }
 }
 
-TEST_F(ExecBatchEquivalenceTest, BatchMatchesScalarEverywhere) {
-  // Separate workspaces so the batch run's adaptive reorderer state
-  // cannot leak into the scalar run (and vice versa); each workspace
-  // still threads through every query to exercise epoch hygiene.
-  SearchWorkspace ws_batch, ws_scalar;
-  std::vector<SearchResult> got_batch, got_scalar;
+/// Checks one kernel run against the reference full ranking under the
+/// TopKOptions contract: k <= 0 or prune off must equal the reference
+/// truncated to k bit for bit; a pruned run must return the same prefix
+/// (entity id when resolved, text when not) with every score a lower
+/// bound of the reference score.
+void ExpectMatchesReference(const std::vector<SearchResult>& got,
+                            const std::vector<SearchResult>& full, int k,
+                            bool prune, const std::string& context) {
+  const size_t n = k > 0 ? std::min(full.size(), static_cast<size_t>(k))
+                         : full.size();
+  if (k <= 0 || !prune) {
+    ExpectBitIdentical(
+        got, std::vector<SearchResult>(full.begin(), full.begin() + n),
+        context);
+    return;
+  }
+  ASSERT_EQ(got.size(), n) << context;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i].entity, full[i].entity) << context << " @" << i;
+    if (full[i].entity == kNa) {
+      EXPECT_EQ(got[i].text, full[i].text) << context << " @" << i;
+    }
+    EXPECT_LE(got[i].score, full[i].score) << context << " @" << i;
+  }
+}
+
+TEST_F(ExecBatchEquivalenceTest, KernelMatchesReferenceEverywhere) {
+  // One workspace per backend, each threaded through every query to
+  // exercise epoch hygiene and the adaptive reorderer's evolving state.
+  SearchWorkspace ws[2];
+  std::vector<SearchResult> got[2];
   const CorpusView& snap_view = *snap_->corpus();
   const CorpusView* backends[] = {mem_corpus_, &snap_view};
   const char* backend_names[] = {"mem", "snap"};
@@ -371,22 +403,21 @@ TEST_F(ExecBatchEquivalenceTest, BatchMatchesScalarEverywhere) {
   for (const SelectQuery& q : SelectQueries()) {
     NormalizedSelectQuery nq = NormalizeSelectQuery(q);
     for (const EngineCase& engine : kEngines) {
-      for (int b = 0; b < 2; ++b) {
-        for (int k : ks) {
-          for (bool prune : {false, true}) {
-            TopKOptions batch_opts{k, prune, /*batch=*/true};
-            TopKOptions scalar_opts{k, prune, /*batch=*/false};
-            std::string context = std::string(engine.name) + " e2=" +
-                                  q.e2_text + " k=" + std::to_string(k) +
-                                  (prune ? " pruned " : " unpruned ") +
-                                  backend_names[b];
-            engine.kernel(*backends[b], q, nq, batch_opts, &ws_batch,
-                          &got_batch);
-            engine.kernel(*backends[b], q, nq, scalar_opts, &ws_scalar,
-                          &got_scalar);
-            ExpectBitIdentical(got_batch, got_scalar, context);
-            total_results += got_batch.size();
+      const std::vector<SearchResult> full =
+          engine.reference(*mem_corpus_, q, nq);
+      for (int k : ks) {
+        for (bool prune : {false, true}) {
+          const std::string config = std::string(engine.name) + " e2=" +
+                                     q.e2_text + " k=" + std::to_string(k) +
+                                     (prune ? " pruned" : " unpruned");
+          for (int b = 0; b < 2; ++b) {
+            engine.kernel(*backends[b], q, nq, TopKOptions{k, prune}, &ws[b],
+                          &got[b]);
+            ExpectMatchesReference(got[b], full, k, prune,
+                                   config + " " + backend_names[b]);
           }
+          ExpectBitIdentical(got[1], got[0], config + " snap vs mem");
+          total_results += got[0].size() + got[1].size();
         }
       }
     }
@@ -395,34 +426,51 @@ TEST_F(ExecBatchEquivalenceTest, BatchMatchesScalarEverywhere) {
   EXPECT_GT(total_results, 100u);
 }
 
-TEST_F(ExecBatchEquivalenceTest, JoinBatchMatchesScalar) {
+TEST_F(ExecBatchEquivalenceTest, JoinKernelMatchesReference) {
   const World& world = SharedWorld();
-  SearchWorkspace ws_batch, ws_scalar;
-  std::vector<SearchResult> got_batch, got_scalar;
+  SearchWorkspace ws[2];
+  std::vector<SearchResult> got[2];
   const CorpusView& snap_view = *snap_->corpus();
-  for (EntityId e = 5; e < world.catalog.num_entities(); e += 509) {
+  const CorpusView* backends[] = {mem_corpus_, &snap_view};
+  size_t total_results = 0;
+  // Actors in movies directed by D (acted_in and directed both hold the
+  // movie as subject), for directors D drawn from the hidden truth so
+  // the legs meet annotated tables; each grounded and text-only.
+  std::vector<JoinQuery> queries;
+  const auto& directed = world.true_relations[world.directed].tuples;
+  const size_t stride = std::max<size_t>(1, directed.size() / 6);
+  for (size_t d = 0; d < directed.size(); d += stride) {
     JoinQuery jq;
     jq.r1 = world.acted_in;
-    jq.e1_is_subject = true;
+    jq.e1_is_subject = false;
     jq.r2 = world.directed;
-    jq.e2_is_subject = false;
-    jq.e3 = e;
-    jq.e3_text = std::string(world.catalog.EntityName(e));
-    for (const CorpusView* backend : {static_cast<const CorpusView*>(
-                                          mem_corpus_),
-                                      &snap_view}) {
-      for (int k : {0, 3}) {
-        for (bool prune : {false, true}) {
-          JoinSearch(*backend, jq, TopKOptions{k, prune, true}, &ws_batch,
-                     &got_batch);
-          JoinSearch(*backend, jq, TopKOptions{k, prune, false},
-                     &ws_scalar, &got_scalar);
-          ExpectBitIdentical(got_batch, got_scalar,
-                             "join k=" + std::to_string(k));
+    jq.e2_is_subject = true;
+    jq.e3 = directed[d].second;
+    jq.e3_text = std::string(world.catalog.EntityName(jq.e3));
+    queries.push_back(jq);
+    jq.e3 = kNa;
+    queries.push_back(jq);
+  }
+  for (const JoinQuery& jq : queries) {
+    const std::vector<SearchResult> full =
+        testing_util::ReferenceJoinSearch(*mem_corpus_, jq);
+    for (int k : {0, 3}) {
+      for (bool prune : {false, true}) {
+        const std::string config = "join e3=" + jq.e3_text +
+                                   " k=" + std::to_string(k) +
+                                   (prune ? " pruned" : " unpruned");
+        for (int b = 0; b < 2; ++b) {
+          JoinSearch(*backends[b], jq, TopKOptions{k, prune}, &ws[b],
+                     &got[b]);
+          ExpectMatchesReference(got[b], full, k, prune, config);
         }
+        ExpectBitIdentical(got[1], got[0], config + " snap vs mem");
+        total_results += got[0].size() + got[1].size();
       }
     }
   }
+  // Non-vacuity: some bindings must reach answers.
+  EXPECT_GT(total_results, 0u);
 }
 
 TEST_F(ExecBatchEquivalenceTest, FilterLogTraceIsDeterministic) {

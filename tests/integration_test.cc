@@ -14,6 +14,7 @@
 #include "eval/annotation_eval.h"
 #include "eval/metrics.h"
 #include "eval/search_eval.h"
+#include "full_rank.h"
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
 #include "search/type_relation_search.h"
@@ -26,6 +27,7 @@
 namespace webtab {
 namespace {
 
+using testing_util::FullRank;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
 
@@ -166,11 +168,11 @@ TEST(IntegrationTest, SearchOrderingFigure9Shape) {
       for (EntityId s : world.TrueSubjectsOf(rel, e2)) relevant.insert(s);
       if (relevant.empty()) continue;
       ap_base.push_back(JudgeAveragePrecision(
-          BaselineSearch(cindex, q), relevant, world.catalog));
-      ap_type.push_back(JudgeAveragePrecision(TypeSearch(cindex, q),
+          FullRank(BaselineSearch, cindex, q), relevant, world.catalog));
+      ap_type.push_back(JudgeAveragePrecision(FullRank(TypeSearch, cindex, q),
                                               relevant, world.catalog));
       ap_tr.push_back(JudgeAveragePrecision(
-          TypeRelationSearch(cindex, q), relevant, world.catalog));
+          FullRank(TypeRelationSearch, cindex, q), relevant, world.catalog));
     }
   }
   double map_base = MeanAveragePrecision(ap_base);

@@ -6,6 +6,7 @@
 
 #include "annotate/annotator.h"
 #include "annotate/corpus_annotator.h"
+#include "full_rank.h"
 #include "search/corpus_index.h"
 #include "synth/corpus_generator.h"
 #include "test_world.h"
@@ -13,6 +14,7 @@
 namespace webtab {
 namespace {
 
+using testing_util::FullRank;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
 
@@ -69,7 +71,7 @@ TEST_F(JoinSearchTest, ActorsInMoviesDirectedBy) {
   q.e3 = director;
   q.e3_text = world.catalog.entity(director).lemmas[0];
 
-  std::vector<SearchResult> results = JoinSearch(Corpus(), q);
+  std::vector<SearchResult> results = FullRank(Corpus(), q);
   // The corpus is a sample, so we cannot demand full recall; but
   // returned answers that exist in the truth should dominate the top.
   ASSERT_FALSE(results.empty());
@@ -102,7 +104,7 @@ TEST_F(JoinSearchTest, ClubsOfFootballersBornIn) {
   q.e2_is_subject = true;
   q.e3 = city;
   q.e3_text = world.catalog.entity(city).lemmas[0];
-  std::vector<SearchResult> results = JoinSearch(Corpus(), q);
+  std::vector<SearchResult> results = FullRank(Corpus(), q);
   // Every resolved answer must be a club (type sanity).
   ClosureCache closure(&world.catalog);
   for (const SearchResult& r : results) {
@@ -118,7 +120,7 @@ TEST_F(JoinSearchTest, UnknownRelationReturnsNothing) {
   q.r1 = 999;
   q.r2 = 998;
   q.e3 = 0;
-  EXPECT_TRUE(JoinSearch(Corpus(), q).empty());
+  EXPECT_TRUE(FullRank(Corpus(), q).empty());
 }
 
 TEST_F(JoinSearchTest, ScoresSortedDescending) {
@@ -130,7 +132,7 @@ TEST_F(JoinSearchTest, ScoresSortedDescending) {
   q.e2_is_subject = true;
   q.e3 = world.true_relations[world.directed].tuples[0].second;
   q.e3_text = world.catalog.entity(q.e3).lemmas[0];
-  std::vector<SearchResult> results = JoinSearch(Corpus(), q);
+  std::vector<SearchResult> results = FullRank(Corpus(), q);
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i - 1].score, results[i].score);
   }
@@ -145,7 +147,7 @@ TEST_F(JoinSearchTest, MaxJoinEntitiesLimitsExpansion) {
   q.e2_is_subject = true;
   q.e3 = world.true_relations[world.directed].tuples[0].second;
   q.max_join_entities = 0;  // Expand nothing.
-  EXPECT_TRUE(JoinSearch(Corpus(), q).empty());
+  EXPECT_TRUE(FullRank(Corpus(), q).empty());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "full_rank.h"
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
 #include "search/join_search.h"
@@ -11,6 +12,7 @@ namespace webtab {
 namespace {
 
 using testing_util::Figure1World;
+using testing_util::FullRank;
 using testing_util::MakeFigure1Table;
 using testing_util::MakeFigure1World;
 
@@ -55,7 +57,7 @@ class SearchEnginesTest : public ::testing::Test {
 };
 
 TEST_F(SearchEnginesTest, BaselineFindsByStringMatch) {
-  auto results = BaselineSearch(index_, EinsteinQuery());
+  auto results = FullRank(BaselineSearch, index_, EinsteinQuery());
   // Headers: "Title" matches type1_text; "written by" matches type2_text.
   ASSERT_FALSE(results.empty());
   EXPECT_EQ(results[0].entity, kNa);  // Baseline is string-only.
@@ -67,11 +69,11 @@ TEST_F(SearchEnginesTest, BaselineMissesWithoutHeaderOverlap) {
   SelectQuery q = EinsteinQuery();
   q.type1_text = "movie";      // No header matches.
   q.type2_text = "filmmaker";
-  EXPECT_TRUE(BaselineSearch(index_, q).empty());
+  EXPECT_TRUE(FullRank(BaselineSearch, index_, q).empty());
 }
 
 TEST_F(SearchEnginesTest, TypeSearchResolvesEntities) {
-  auto results = TypeSearch(index_, EinsteinQuery());
+  auto results = FullRank(TypeSearch, index_, EinsteinQuery());
   ASSERT_FALSE(results.empty());
   EXPECT_EQ(results[0].entity, w_.b41);
 }
@@ -81,12 +83,12 @@ TEST_F(SearchEnginesTest, TypeSearchUsesSubtypeExpansion) {
   // but querying with physicist-typed E2 annotation still matches via
   // entity annotation.
   SelectQuery q = EinsteinQuery();
-  auto results = TypeSearch(index_, q);
+  auto results = FullRank(TypeSearch, index_, q);
   ASSERT_FALSE(results.empty());
 }
 
 TEST_F(SearchEnginesTest, TypeRelationSearchStrictest) {
-  auto results = TypeRelationSearch(index_, EinsteinQuery());
+  auto results = FullRank(TypeRelationSearch, index_, EinsteinQuery());
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].entity, w_.b41);
 }
@@ -101,7 +103,7 @@ TEST_F(SearchEnginesTest, TypeRelationRespectsDirection) {
   q.type2 = w_.book;
   q.e2 = w_.stannard;  // Wrong role on purpose.
   q.e2_text = "Stannard";
-  auto results = TypeRelationSearch(index_, q);
+  auto results = FullRank(TypeRelationSearch, index_, q);
   // Stannard never appears in the object column of author postings
   // (books are subjects), so the engine must not hallucinate answers.
   for (const auto& r : results) {
@@ -112,7 +114,7 @@ TEST_F(SearchEnginesTest, TypeRelationRespectsDirection) {
 TEST_F(SearchEnginesTest, TextFallbackWhenEntityUnknown) {
   SelectQuery q = EinsteinQuery();
   q.e2 = kNa;  // E2 not in catalog: text matching only (Figure 4 line 7).
-  auto results = TypeRelationSearch(index_, q);
+  auto results = FullRank(TypeRelationSearch, index_, q);
   ASSERT_FALSE(results.empty());
   EXPECT_EQ(results[0].entity, w_.b41);
 }
@@ -123,7 +125,7 @@ TEST_F(SearchEnginesTest, UnknownQueryYieldsNothing) {
   q.type1 = w_.book;
   q.type2 = w_.person;
   q.e2_text = "nobody";
-  EXPECT_TRUE(TypeRelationSearch(index_, q).empty());
+  EXPECT_TRUE(FullRank(TypeRelationSearch, index_, q).empty());
 }
 
 TEST_F(SearchEnginesTest, ScoreTiesRankByAscendingEntityId) {
@@ -137,7 +139,7 @@ TEST_F(SearchEnginesTest, ScoreTiesRankByAscendingEntityId) {
   corpus[0].annotation.cell_entities[1][1] = w_.einstein;
   CorpusIndex tied(std::move(corpus), &closure_);
   SelectQuery q = EinsteinQuery();
-  auto results = TypeSearch(tied, q);
+  auto results = FullRank(TypeSearch, tied, q);
   ASSERT_EQ(results.size(), 2u);
   ASSERT_EQ(results[0].score, results[1].score);
   EXPECT_LT(results[0].entity, results[1].entity);
@@ -149,7 +151,7 @@ TEST_F(SearchEnginesTest, TopKReturnsExactPrefix) {
   std::vector<SearchResult> topk;
   SelectQuery q = EinsteinQuery();
   NormalizedSelectQuery nq = NormalizeSelectQuery(q);
-  auto full = TypeSearch(index_, q, nq);
+  auto full = FullRank(TypeSearch, index_, q);
   ASSERT_FALSE(full.empty());
   for (bool prune : {false, true}) {
     TypeSearch(index_, q, nq, TopKOptions{1, prune}, &ws, &topk);
@@ -195,8 +197,8 @@ TEST_F(SearchEnginesTest, EvidenceAggregationAcrossTables) {
   std::vector<AnnotatedTable> doubled = MakeCorpus();
   for (auto& at : MakeCorpus()) doubled.push_back(at);
   CorpusIndex big(std::move(doubled), &closure_);
-  auto one = TypeRelationSearch(index_, EinsteinQuery());
-  auto two = TypeRelationSearch(big, EinsteinQuery());
+  auto one = FullRank(TypeRelationSearch, index_, EinsteinQuery());
+  auto two = FullRank(TypeRelationSearch, big, EinsteinQuery());
   ASSERT_FALSE(one.empty());
   ASSERT_FALSE(two.empty());
   EXPECT_NEAR(two[0].score, 2.0 * one[0].score, 1e-9);

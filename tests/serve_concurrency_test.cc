@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "annotate/corpus_annotator.h"
+#include "full_rank.h"
 #include "index/lemma_index.h"
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
@@ -28,6 +29,7 @@ namespace webtab {
 namespace serve {
 namespace {
 
+using testing_util::FullRank;
 using testing_util::SharedWorld;
 
 std::string TempPath(const std::string& name) {
@@ -213,13 +215,13 @@ TEST_F(ServeConcurrencyTest, MixedTrafficDuringHotSwapIsByteIdentical) {
       std::vector<SearchResult> want;
       switch (engine) {
         case EngineKind::kBaseline:
-          want = BaselineSearch(corpus, query);
+          want = FullRank(BaselineSearch, corpus, query);
           break;
         case EngineKind::kType:
-          want = TypeSearch(corpus, query);
+          want = FullRank(TypeSearch, corpus, query);
           break;
         default:
-          want = TypeRelationSearch(corpus, query);
+          want = FullRank(TypeRelationSearch, corpus, query);
           break;
       }
       if (!SameResults(response.results, want)) ++failures;
@@ -262,7 +264,7 @@ TEST_F(ServeConcurrencyTest, ParallelIdenticalQueriesShareCache) {
   {
     Result<storage::Snapshot> snap = storage::Snapshot::Open(*path_a_);
     ASSERT_TRUE(snap.ok());
-    want = TypeRelationSearch(*snap->corpus(), query);
+    want = FullRank(TypeRelationSearch, *snap->corpus(), query);
   }
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {

@@ -10,6 +10,7 @@
 
 #include "common/bounded_queue.h"
 #include "common/deadline.h"
+#include "full_rank.h"
 #include "index/lemma_index.h"
 #include "obs/metrics.h"
 #include "search/baseline_search.h"
@@ -25,6 +26,7 @@ namespace serve {
 namespace {
 
 using testing_util::Figure1World;
+using testing_util::FullRank;
 using testing_util::MakeFigure1Table;
 using testing_util::MakeFigure1World;
 
@@ -204,15 +206,15 @@ TEST_F(ServeServiceTest, SearchMatchesDirectEngineCalls) {
   SearchResponse tr = service.Search(EngineKind::kTypeRelation, q);
   ASSERT_TRUE(tr.status.ok()) << tr.status.ToString();
   EXPECT_EQ(tr.meta.snapshot_version, 1u);
-  ExpectSameResults(tr.results, TypeRelationSearch(corpus_, q));
+  ExpectSameResults(tr.results, FullRank(TypeRelationSearch, corpus_, q));
 
   SearchResponse type = service.Search(EngineKind::kType, q);
   ASSERT_TRUE(type.status.ok());
-  ExpectSameResults(type.results, TypeSearch(corpus_, q));
+  ExpectSameResults(type.results, FullRank(TypeSearch, corpus_, q));
 
   SearchResponse base = service.Search(EngineKind::kBaseline, q);
   ASSERT_TRUE(base.status.ok());
-  ExpectSameResults(base.results, BaselineSearch(corpus_, q));
+  ExpectSameResults(base.results, FullRank(BaselineSearch, corpus_, q));
 }
 
 TEST_F(ServeServiceTest, RepeatedQueryHitsCacheWithIdenticalResults) {
@@ -492,7 +494,7 @@ TEST_F(ServeServiceTest, JoinQueriesServed) {
   jq.e3 = w_.b95;
   SearchResponse response = service.SearchJoin(jq);
   ASSERT_TRUE(response.status.ok());
-  ExpectSameResults(response.results, JoinSearch(corpus_, jq));
+  ExpectSameResults(response.results, FullRank(corpus_, jq));
   ASSERT_FALSE(response.results.empty());
 }
 

@@ -4,18 +4,22 @@
 // acceptance bar for the snapshot subsystem.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "annotate/annotator.h"
 #include "annotate/corpus_annotator.h"
+#include "full_rank.h"
 #include "index/candidates.h"
 #include "search/baseline_search.h"
 #include "search/corpus_index.h"
 #include "search/join_search.h"
 #include "search/type_relation_search.h"
 #include "search/type_search.h"
+#include "snapshot_bytes.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_writer.h"
 #include "synth/corpus_generator.h"
@@ -26,8 +30,13 @@ namespace {
 
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::FixChecksum;
+using testing_util::FullRank;
+using testing_util::SectionEntryOffsetOf;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
+using testing_util::TempPath;
+using testing_util::WriteBytes;
 
 void ExpectSameAnnotation(const TableAnnotation& a,
                           const TableAnnotation& b) {
@@ -214,11 +223,12 @@ TEST_F(SnapshotEquivalenceTest, AllFourEnginesIdentical) {
   }
 
   for (const SelectQuery& q : queries) {
-    ExpectSameResults(BaselineSearch(*mem_corpus_, q),
-                      BaselineSearch(sv, q));
-    ExpectSameResults(TypeSearch(*mem_corpus_, q), TypeSearch(sv, q));
-    ExpectSameResults(TypeRelationSearch(*mem_corpus_, q),
-                      TypeRelationSearch(sv, q));
+    ExpectSameResults(FullRank(BaselineSearch, *mem_corpus_, q),
+                      FullRank(BaselineSearch, sv, q));
+    ExpectSameResults(FullRank(TypeSearch, *mem_corpus_, q),
+                      FullRank(TypeSearch, sv, q));
+    ExpectSameResults(FullRank(TypeRelationSearch, *mem_corpus_, q),
+                      FullRank(TypeRelationSearch, sv, q));
   }
 
   JoinQuery jq;
@@ -228,58 +238,66 @@ TEST_F(SnapshotEquivalenceTest, AllFourEnginesIdentical) {
   jq.e2_is_subject = false;
   jq.e3 = world.catalog.num_entities() > 10 ? 10 : kNa;
   jq.e3_text = "director";
-  ExpectSameResults(JoinSearch(*mem_corpus_, jq), JoinSearch(sv, jq));
+  ExpectSameResults(FullRank(*mem_corpus_, jq), FullRank(sv, jq));
 }
 
 TEST_F(SnapshotEquivalenceTest, CurrentFormatCarriesBlockMax) {
   EXPECT_EQ(snap_->version_minor(), storage::kFormatVersionMinor);
   EXPECT_TRUE(snap_->corpus()->has_block_max());
-  EXPECT_TRUE(snap_->corpus()->HasMatchSupport());
 }
 
-TEST_F(SnapshotEquivalenceTest, LegacySnapshotWithoutBlockMaxStillSearches) {
-  // Pre-minor-1 files carry no block-max section. They must keep
-  // opening (with a one-time warning), report no match support, and
-  // produce the same rankings — the engines just cannot prune, so the
-  // pruned top-k path must still equal the full ranking's prefix.
+/// Sets the header's format minor (outside the checksummed payload).
+void SetVersionMinor(std::vector<uint8_t>* bytes, uint64_t minor) {
+  std::memcpy(bytes->data() + offsetof(storage::FileHeader, version_minor),
+              &minor, sizeof(minor));
+}
+
+TEST_F(SnapshotEquivalenceTest, LegacySnapshotWithoutBlockMaxIsRejected) {
+  // Files written before format minor 1 carry a corpus section but no
+  // block-max section. Model one from the current writer's bytes:
+  // retag the block-max section with an unused kind (readers skip
+  // unknown kinds), stamp minor 0, and re-fix the checksum, so the
+  // missing section is the only thing wrong with the file. The engines
+  // need its match-support index, so both opens must refuse the file
+  // with a Status instead of handing out a corpus view.
   const World& world = SharedWorld();
-  std::string path = ::testing::TempDir() + "/legacy_no_blockmax.snap";
+  std::vector<uint8_t> bytes;
   SnapshotBuilder builder;
-  builder.SetCatalog(&world.catalog)
-      .SetCorpus(mem_corpus_)
-      .SetWriteBlockMax(false);
-  WEBTAB_CHECK_OK(builder.WriteToFile(path));
-  Result<Snapshot> legacy = Snapshot::OpenValidated(path);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->version_minor(), 0u);
-  ASSERT_NE(legacy->corpus(), nullptr);
-  EXPECT_FALSE(legacy->corpus()->has_block_max());
-  EXPECT_FALSE(legacy->corpus()->HasMatchSupport());
-
-  const CorpusView& lv = *legacy->corpus();
-  SelectQuery q;
-  q.relation = world.acted_in;
-  q.type1 = world.actor;
-  q.type2 = world.movie;
-  q.relation_text = "acted in";
-  q.type1_text = "actor";
-  q.type2_text = "movie";
-  q.e2 = 10;
-  q.e2_text = std::string(world.catalog.EntityName(10));
-  ExpectSameResults(TypeRelationSearch(*mem_corpus_, q),
-                    TypeRelationSearch(lv, q));
-  ExpectSameResults(TypeSearch(*mem_corpus_, q), TypeSearch(lv, q));
-  ExpectSameResults(BaselineSearch(*mem_corpus_, q), BaselineSearch(lv, q));
-
-  std::vector<SearchResult> full = TypeRelationSearch(lv, q);
-  NormalizedSelectQuery nq = NormalizeSelectQuery(q);
-  SearchWorkspace ws;
-  std::vector<SearchResult> pruned;
-  TypeRelationSearch(lv, q, nq, TopKOptions{5, true}, &ws, &pruned);
-  ASSERT_EQ(pruned.size(), std::min<size_t>(5, full.size()));
-  for (size_t i = 0; i < pruned.size(); ++i) {
-    EXPECT_EQ(pruned[i].entity, full[i].entity);
+  builder.SetCatalog(&world.catalog).SetCorpus(mem_corpus_);
+  WEBTAB_CHECK_OK(builder.WriteTo(&bytes));
+  const uint64_t entry =
+      SectionEntryOffsetOf(bytes, storage::kBlockMaxSection);
+  ASSERT_NE(entry, 0u);
+  const uint32_t unused_kind = 0x7fffffffu;
+  std::memcpy(bytes.data() + entry + offsetof(storage::SectionEntry, kind),
+              &unused_kind, sizeof(unused_kind));
+  SetVersionMinor(&bytes, 0);
+  FixChecksum(&bytes);
+  const std::string path = TempPath("legacy_no_blockmax.snap");
+  WriteBytes(path, bytes);
+  for (bool validated : {false, true}) {
+    Result<Snapshot> legacy =
+        validated ? Snapshot::OpenValidated(path) : Snapshot::Open(path);
+    ASSERT_FALSE(legacy.ok()) << "validated=" << validated;
+    EXPECT_EQ(legacy.status().code(), StatusCode::kParseError);
+    EXPECT_NE(legacy.status().message().find("no block-max section"),
+              std::string::npos)
+        << legacy.status().ToString();
   }
+
+  // Catalog-only files have nothing to search and still open, at any
+  // format minor.
+  std::vector<uint8_t> catalog_only;
+  SnapshotBuilder catalog_builder;
+  catalog_builder.SetCatalog(&world.catalog).SetLemmaIndex(&SharedIndex());
+  WEBTAB_CHECK_OK(catalog_builder.WriteTo(&catalog_only));
+  SetVersionMinor(&catalog_only, 0);
+  WriteBytes(path, catalog_only);
+  Result<Snapshot> catalog = Snapshot::OpenValidated(path);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  EXPECT_NE(catalog->catalog(), nullptr);
+  EXPECT_NE(catalog->lemma_index(), nullptr);
+  EXPECT_EQ(catalog->corpus(), nullptr);
   std::remove(path.c_str());
 }
 

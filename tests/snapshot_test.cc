@@ -17,6 +17,7 @@
 #include "catalog/closure.h"
 #include "index/lemma_index.h"
 #include "search/corpus_index.h"
+#include "snapshot_bytes.h"
 #include "storage/format.h"
 #include "storage/snapshot.h"
 #include "storage/snapshot_writer.h"
@@ -27,19 +28,13 @@ namespace {
 
 using storage::Snapshot;
 using storage::SnapshotBuilder;
+using testing_util::FixChecksum;
+using testing_util::ReadPod;
+using testing_util::SectionOffsetOf;
 using testing_util::SharedIndex;
 using testing_util::SharedWorld;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(f.good());
-}
+using testing_util::TempPath;
+using testing_util::WriteBytes;
 
 class SnapshotTest : public ::testing::Test {
  protected:
@@ -341,37 +336,6 @@ TEST_F(SnapshotRejectionTest, ChecksumVerifyCanBeSkipped) {
 // A hostile snapshot is not corrupted in transit — the checksum is
 // valid — but encodes data that violates invariants the accessors rely
 // on. Plain Open accepts such files; OpenValidated must reject them.
-
-/// Reads a POD header out of a byte buffer.
-template <typename T>
-T ReadPod(const std::vector<uint8_t>& bytes, uint64_t offset) {
-  T out;
-  std::memcpy(&out, bytes.data() + offset, sizeof(T));
-  return out;
-}
-
-/// Absolute offset of the first section of `kind`; 0 when absent.
-uint64_t SectionOffsetOf(const std::vector<uint8_t>& bytes, uint32_t kind) {
-  auto header = ReadPod<storage::FileHeader>(bytes, 0);
-  for (uint32_t i = 0; i < header.section_count; ++i) {
-    auto entry = ReadPod<storage::SectionEntry>(
-        bytes, header.section_table_offset +
-                   i * sizeof(storage::SectionEntry));
-    if (entry.kind == kind) return entry.offset;
-  }
-  return 0;
-}
-
-/// Recomputes the payload checksum after a surgical mutation, so the
-/// file models an attacker-authored snapshot rather than bit rot.
-void FixChecksum(std::vector<uint8_t>* bytes) {
-  const uint64_t payload = sizeof(storage::FileHeader);
-  uint64_t checksum = storage::Checksum64(bytes->data() + payload,
-                                          bytes->size() - payload);
-  std::memcpy(bytes->data() + offsetof(storage::FileHeader,
-                                       payload_checksum),
-              &checksum, sizeof(checksum));
-}
 
 class SnapshotHostileTest : public ::testing::Test {
  protected:
